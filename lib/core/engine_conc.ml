@@ -15,6 +15,8 @@ type instance = {
   observer : observer option;
   imutex : Mutex.t;
   mutable regions : Detmerge.region list;
+  (* Outputs since the last [finish], newest first; stays empty under
+     [on_output]. *)
   mutable results : Record.t list;
   mutable next_input : int;
   mutable next_region_id : int;
@@ -397,14 +399,17 @@ let start ?pool ?exec ?batch ?mailbox ?observer ?on_output ?stats ?supervision
       | Data (meta, r) ->
           if meta.Detmerge.tokens <> [] then
             failwith "Engine_conc(output): unclosed deterministic region";
-          Mutex.lock eng.imutex;
-          eng.results <- r :: eng.results;
-          Mutex.unlock eng.imutex;
           (* Streaming tap: long-running consumers (snet_serve) see
              each record as it reaches the global output, without
-             waiting for quiescence. Runs on the output actor, so it
-             must not block for long. *)
-          match on_output with None -> () | Some f -> f r)
+             waiting for quiescence, and nothing is retained for
+             [finish]. Runs on the output actor, so it must not block
+             for long. *)
+          match on_output with
+          | Some f -> f r
+          | None ->
+              Mutex.lock eng.imutex;
+              eng.results <- r :: eng.results;
+              Mutex.unlock eng.imutex)
   in
   eng.entry <- Some (build eng "" net ~down:results_actor);
   eng
@@ -448,6 +453,7 @@ let finish eng =
   Mutex.lock eng.imutex;
   let regions = eng.regions in
   let results = List.rev eng.results in
+  eng.results <- [];
   Mutex.unlock eng.imutex;
   List.iter
     (fun r ->
@@ -476,12 +482,8 @@ let capture eng =
       stars = List.map (fun (p, f) -> (p, f ())) stars;
     }
 
-let run ?pool ?exec ?batch ?mailbox ?observer ?on_output ?stats ?supervision
-    net inputs =
-  let eng =
-    start ?pool ?exec ?batch ?mailbox ?observer ?on_output ?stats ?supervision
-      net
-  in
+let run ?pool ?exec ?batch ?mailbox ?observer ?stats ?supervision net inputs =
+  let eng = start ?pool ?exec ?batch ?mailbox ?observer ?stats ?supervision net in
   (* Attribute the pool's scheduler activity over this run (tasks,
      steals, parks, splits) to the run's stats. The pool may be shared,
      so this is a delta of its monotonic counters, not an absolute.

@@ -60,13 +60,13 @@ val start :
     output stream — the streaming seam long-running services
     ([snet_serve]) use to route responses without waiting for
     quiescence. It runs on the output actor: keep it non-blocking, or
-    the network's tail stalls. Records still accumulate for
-    {!finish}. [restore], when given, replays a previously captured
-    {!Netstate.t} into the actor graph as it builds: sync cells refill
-    their stores, and recorded star stages / split replicas are built
-    eagerly (their nested sync cells restore through the same
-    mechanism). The capture must come from this engine (see
-    {!capture}); paths are engine-local. *)
+    the network's tail stalls. An instance with [on_output] retains no
+    outputs: every {!finish} on it returns [[]]. [restore], when
+    given, replays a previously captured {!Netstate.t} into the actor
+    graph as it builds: sync cells refill their stores, and recorded
+    star stages / split replicas are built eagerly (their nested sync
+    cells restore through the same mechanism). The capture must come
+    from this engine (see {!capture}); paths are engine-local. *)
 
 val feed : instance -> Record.t -> unit
 (** Inject one record into the network's input stream. May block
@@ -79,10 +79,13 @@ val feed : instance -> Record.t -> unit
 
 val finish : instance -> Record.t list
 (** Wait until the network is quiescent (every injected record fully
-    processed) and return all output records produced so far, in
-    arrival order at the global output stream. Re-raises the first
-    component exception, if any. May be called repeatedly, with more
-    {!feed}s in between; outputs accumulate. *)
+    processed) and return the output records produced since the
+    previous [finish] (or since {!start}), in arrival order at the
+    global output stream. Re-raises the first component exception, if
+    any. May be called repeatedly, with more {!feed}s in between; each
+    call hands back only its own delta, so its cost is proportional to
+    that delta, not to the stream so far. Returns [[]] on an instance
+    started with [on_output]. *)
 
 val stats : instance -> Stats.snapshot
 
@@ -99,7 +102,6 @@ val run :
   ?batch:int ->
   ?mailbox:int ->
   ?observer:observer ->
-  ?on_output:(Record.t -> unit) ->
   ?stats:Stats.t ->
   ?supervision:Supervise.config ->
   Net.t ->

@@ -118,9 +118,6 @@ let seq_tag = "dist_seq"
 
 exception Crash_injected
 
-let rec drop n l =
-  if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
-
 let attempt_send conn msg =
   try Transport.send conn (Proto.encode msg) with _ -> ()
 
@@ -234,7 +231,7 @@ let serve ?pool ?tap ?(report_every = 0.5) ?throttle_us
                     inst_ref := Some i;
                     i
               in
-              let sent = ref 0 and consumed = ref 0 in
+              let consumed = ref 0 in
               let report_msg () =
                 Proto.encode
                   (Proto.Metrics_report
@@ -289,12 +286,10 @@ let serve ?pool ?tap ?(report_every = 0.5) ?throttle_us
                          done)
                        ())
               end;
-              (* finish accumulates all outputs so far; collect only
-                 the fresh suffix, as batch-capped envelopes. *)
+              (* finish returns only the outputs since the previous
+                 finish: ship them as batch-capped envelopes. *)
               let fresh_out_msgs () =
-                let outs = Snet.Engine_conc.finish (inst ()) in
-                let fresh = drop !sent outs in
-                sent := List.length outs;
+                let fresh = Snet.Engine_conc.finish (inst ()) in
                 if Obsv.Sink.events_on () then
                   List.iter
                     (fun r ->
@@ -526,14 +521,6 @@ let locked c f =
   Mutex.lock c.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock c.mu) f
 
-let record_output c r =
-  let r = Snet.Record.without_tag seq_tag r in
-  let r = Snet.Record.without_tag Obsv.Probe.trace_tag r in
-  (match c.tap with Some f -> f ~edge:out_edge r | None -> ());
-  locked c (fun () ->
-      c.outputs_rev <- r :: c.outputs_rev;
-      Condition.broadcast c.cv)
-
 let worker_name i = Printf.sprintf "dist:worker%d" i
 
 let stamp_dead c i r reason =
@@ -545,37 +532,58 @@ let stamp_dead c i r reason =
   in
   c.outputs_rev <- e :: c.outputs_rev
 
-(* Route one record at partition [i] (i = parts means the global
-   output). Enqueues onto the worker's pending queue — the pump does
-   the wire work. Blocks while the pending window is full; never
-   called with the lock held. *)
-let send_data c i r =
-  if i >= c.parts || Snet.Supervise.is_error r then record_output c r
-  else begin
-    let w = c.ws.(i) in
-    locked c (fun () ->
-        if
-          c.failure = None && w.st <> Dead
-          && Queue.length w.pending >= c.init_credits
-        then begin
+(* Append [rs] to the global output edge [out_edge], without the
+   coordinator's own tags. The tap runs lock-free; nothing waits on
+   the output list, so there is no wake-up. *)
+let deliver c rs =
+  let rs =
+    List.map
+      (fun r ->
+        let r = Snet.Record.without_tag seq_tag r in
+        let r = Snet.Record.without_tag Obsv.Probe.trace_tag r in
+        (match c.tap with Some f -> f ~edge:out_edge r | None -> ());
+        r)
+      rs
+  in
+  locked c (fun () -> c.outputs_rev <- List.rev_append rs c.outputs_rev)
+
+(* Enqueue [rs], in order, onto partition [i]'s pending queue in one
+   lock hold — the pump does the wire work. Blocks mid-batch wherever
+   the pending window is full, exactly where a lone record would.
+   Only a push onto an empty queue can enable the pump (its other
+   conditions do not change here), so only that push wakes it: once
+   per lock hold, and before any wait for room. Never called with the
+   lock held. *)
+let enqueue c i rs =
+  let w = c.ws.(i) in
+  locked c (fun () ->
+      let wake = ref false in
+      let wake_pump () =
+        if !wake then begin
+          wake := false;
+          Condition.broadcast c.cv
+        end
+      in
+      let full () =
+        c.failure = None && w.st <> Dead
+        && Queue.length w.pending >= c.init_credits
+      in
+      let push r =
+        if full () then begin
+          wake_pump ();
           Option.iter (fun s -> Snet.Stats.record_backpressure s 1) c.stats;
-          Obsv.Probe.edge_stall ~name:(edge_in i)
+          Obsv.Probe.edge_stall ~name:(edge_in i);
+          while full () do
+            Condition.wait c.cv c.mu
+          done
         end;
-        while
-          c.failure = None && w.st <> Dead
-          && Queue.length w.pending >= c.init_credits
-        do
-          Condition.wait c.cv c.mu
-        done;
-        if c.failure <> None then ()
-        else
+        if c.failure = None then
           match w.st with
           | Dead -> (
               match c.policy with
               | Snet.Supervise.Fail_fast -> ()
               | Snet.Supervise.Error_record | Snet.Supervise.Retry _ ->
-                  stamp_dead c i r "worker died";
-                  Condition.broadcast c.cv)
+                  stamp_dead c i r "worker died")
           | Alive | Respawning | Migrating ->
               (* Trace ingress: stamp a fresh trace id only if the
                  record doesn't already carry one — a record forwarded
@@ -595,6 +603,7 @@ let send_data c i r =
                  per-worker monotonicity, not the global sequence. *)
               let r = Snet.Record.with_tag seq_tag c.next_seq r in
               c.next_seq <- c.next_seq + 1;
+              if Queue.is_empty w.pending then wake := true;
               Queue.push r w.pending;
               (match c.tap with
               | Some f -> f ~edge:(edge_in i) r
@@ -606,35 +615,48 @@ let send_data c i r =
                 | Some t ->
                     Obsv.Probe.flow_start ~cat:"dist" ~name:"rec"
                       ~id:((t * 1024) + (2 * i))
-                | None -> ());
-              Condition.broadcast c.cv)
-  end
+                | None -> ())
+      in
+      List.iter push rs;
+      wake_pump ())
 
-(* Route one record into stage [s] (s = stage count means the global
-   output): a width-1 stage has exactly one partition; a shard group
-   hashes the routing tag so equal tag values deterministically reach
-   the same replica partition. A record without the tag goes to shard
-   0 and lets the worker's own split node report it, exactly as a
-   single-process engine would. *)
-let send_stage c s r =
-  if s >= Array.length c.stages || Snet.Supervise.is_error r then
-    (* [send_data] also accepts out-of-range partitions; funnel
-       through it so error records take one path. *)
-    record_output c r
+(* Route a batch into stage [s] (s = stage count means the global
+   output); error records bypass the remaining stages. A width-1 stage
+   has exactly one partition; a shard group hashes the routing tag so
+   equal tag values deterministically reach the same replica
+   partition. A record without the tag goes to shard 0 and lets the
+   worker's own split node report it, exactly as a single-process
+   engine would. Each destination receives its records as one ordered
+   group. *)
+let route c s rs =
+  if s >= Array.length c.stages then deliver c rs
   else begin
     let st = c.stages.(s) in
-    let part =
-      if st.r_width = 1 then st.r_base
-      else
-        let v =
-          match st.r_tag with
-          | Some tag -> (
-              match Snet.Record.tag tag r with Some v -> v | None -> 0)
-          | None -> 0
+    (* Slot k < r_width is partition r_base + k; slot r_width is the
+       global output. *)
+    let groups = Array.make (st.r_width + 1) [] in
+    List.iter
+      (fun r ->
+        let k =
+          if Snet.Supervise.is_error r then st.r_width
+          else if st.r_width = 1 then 0
+          else
+            let v =
+              match st.r_tag with
+              | Some tag -> (
+                  match Snet.Record.tag tag r with Some v -> v | None -> 0)
+              | None -> 0
+            in
+            Plan.shard_of ~shards:st.r_width v
         in
-        st.r_base + Plan.shard_of ~shards:st.r_width v
-    in
-    send_data c part r
+        groups.(k) <- r :: groups.(k))
+      rs;
+    Array.iteri
+      (fun k g ->
+        if g <> [] then
+          let g = List.rev g in
+          if k = st.r_width then deliver c g else enqueue c (st.r_base + k) g)
+      groups
   end
 
 let stage_members c s =
@@ -714,6 +736,7 @@ let pump c i =
           done;
           if c.failure <> None || w.st = Dead then `Stop
           else if can_data () then begin
+            let was_full = Queue.length w.pending >= c.init_credits in
             let k = min (min w.credits c.batch) (Queue.length w.pending) in
             let rs =
               List.init k (fun _ ->
@@ -724,8 +747,9 @@ let pump c i =
             w.credits <- w.credits - k;
             let eof = w.eof_requested && Queue.is_empty w.pending in
             if eof then w.eof_sent <- true;
-            (* pending has room again: wake parked producers *)
-            Condition.broadcast c.cv;
+            (* Producers park only on a full pending window, so only
+               a pop from a full one can release them. *)
+            if was_full then Condition.broadcast c.cv;
             `Send (w.conn, rs, eof)
           end
           else if can_eof () then begin
@@ -749,21 +773,32 @@ let pump c i =
   in
   loop ()
 
-let forward_record c i r =
-  (match Snet.Record.tag seq_tag r with
-  | Some s ->
-      let w = c.ws.(i) in
-      locked c (fun () -> if s > w.watermark then w.watermark <- s)
-  | None -> ());
-  Obsv.Probe.edge_recv ~name:(edge_out i)
-    ~depth:(Queue.length c.ws.(i).inflight);
-  if Obsv.Sink.events_on () then
-    (match Snet.Record.tag Obsv.Probe.trace_tag r with
-    | Some t ->
-        Obsv.Probe.flow_end ~cat:"dist" ~name:"rec"
-          ~id:((t * 1024) + (2 * i) + 1)
-    | None -> ());
-  send_stage c (c.stage_of.(i) + 1) r
+(* Route a batch of worker [i]'s outputs on to the next stage, under
+   one watermark update for the whole batch: this reader routes the
+   batch in full before it can act on the worker's death, so a
+   respawn never trusts the watermark for outputs that were not
+   delivered. *)
+let forward c i rs =
+  let w = c.ws.(i) in
+  let top =
+    List.fold_left
+      (fun m r ->
+        match Snet.Record.tag seq_tag r with Some s -> max m s | None -> m)
+      (-1) rs
+  in
+  if top >= 0 then
+    locked c (fun () -> if top > w.watermark then w.watermark <- top);
+  List.iter
+    (fun r ->
+      Obsv.Probe.edge_recv ~name:(edge_out i) ~depth:(Queue.length w.inflight);
+      if Obsv.Sink.events_on () then
+        match Snet.Record.tag Obsv.Probe.trace_tag r with
+        | Some t ->
+            Obsv.Probe.flow_end ~cat:"dist" ~name:"rec"
+              ~id:((t * 1024) + (2 * i) + 1)
+        | None -> ())
+    rs;
+  route c (c.stage_of.(i) + 1) rs
 
 let rec reader c i conn =
   let w = c.ws.(i) in
@@ -774,11 +809,11 @@ let rec reader c i conn =
   | `Msg m -> (
       match Proto.decode m with
       | Ok (Proto.Data r) ->
-          forward_record c i r;
+          forward c i [ r ];
           reader c i conn
       | Ok (Proto.Data_batch rs) ->
           Obsv.Probe.edge_batch ~name:(edge_out i) ~size:(List.length rs);
-          List.iter (forward_record c i) rs;
+          forward c i rs;
           reader c i conn
       | Ok (Proto.Credit n) ->
           locked c (fun () ->
@@ -1186,7 +1221,7 @@ let coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns ~policy
   List.iter
     (fun r ->
       let stop = locked c (fun () -> c.failure <> None) in
-      if not stop then send_stage c 0 r)
+      if not stop then route c 0 [ r ])
     inputs;
   finish_stage c 0;
   locked c (fun () ->

@@ -1056,6 +1056,134 @@ let test_dist_shard_kill_worker () =
     (multiset_eq reference outs)
 
 (* ------------------------------------------------------------------ *)
+(* Batched cut-edge routing under pressure                             *)
+
+(* Run [f] on its own thread and fail the test if it has not returned
+   within [seconds]: a routing deadlock shows up as a failure, not as a
+   hung suite. *)
+let within ~seconds label f =
+  let result = ref None and mu = Mutex.create () in
+  let t =
+    Thread.create
+      (fun () ->
+        let r = try Ok (f ()) with e -> Error e in
+        Mutex.lock mu;
+        result := Some r;
+        Mutex.unlock mu)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    Mutex.lock mu;
+    let r = !result in
+    Mutex.unlock mu;
+    match r with
+    | Some r -> (
+        Thread.join t;
+        match r with Ok v -> v | Error e -> raise e)
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "%s: still running after %.0f s" label seconds;
+        Thread.delay 0.005;
+        wait ()
+  in
+  wait ()
+
+let stress_records = 5_000
+
+(* Every input's output exactly once, and nothing else: the shard
+   net's [z] is injective in [x], so multiset identity with the
+   sequential reference plus distinct [z]s is exactly-once delivery. *)
+let check_exactly_once label reference outs =
+  Alcotest.(check int)
+    (label ^ ": one output per input")
+    (List.length reference) (List.length outs);
+  let zs = List.sort_uniq compare (List.filter_map (Record.tag "z") outs) in
+  Alcotest.(check int) (label ^ ": no duplicate") (List.length outs)
+    (List.length zs);
+  Alcotest.(check bool) (label ^ ": multiset = seq") true
+    (multiset_eq reference outs)
+
+(* A long stream through the sharded cut with a 64-record envelope
+   cap and windows of 1, 2 and 32: worker output batches are grouped
+   per shard replica and routed whole, and wherever a batch exceeds
+   the room left in its destination's window the router must block
+   mid-batch and resume. [run] executes one configuration; under
+   Retry the first partition dies mid-stream after flushing outputs
+   it was never credited for, so the batch-wide watermark must dedupe
+   the resend. *)
+let batched_routing_stress ~run ~plan net inputs =
+  let reference = Snet.Engine_seq.run net inputs in
+  let retry = Snet.Supervise.make ~policy:(Snet.Supervise.Retry 2) () in
+  List.iter
+    (fun credits ->
+      List.iter
+        (fun (name, supervision, kill) ->
+          let label = Printf.sprintf "credits=%d %s" credits name in
+          let outs =
+            within ~seconds:60. label (fun () ->
+                run ~plan ~credits ?supervision ~kill net inputs)
+          in
+          check_exactly_once label reference outs)
+        [
+          ("fail-fast", None, None);
+          ("retry + kill", Some retry, Some (0, List.length inputs / 2));
+        ])
+    [ 1; 2; 32 ]
+
+(* The shard net behind a box that turns each input into eight
+   records, cut so one partition runs the fan-out and the route box:
+   its output batches are eight times its input envelopes, so from an
+   empty pending queue they overrun a window of 1 or 2 on their own,
+   and the router must wake the pump before it waits for room. 250
+   inputs make 2,000 records. *)
+let fanout_shard_net () =
+  let fan =
+    Snet.Net.box
+      (Snet.Box.make ~name:"fan" ~input:[ Snet.Box.T "x" ]
+         ~outputs:[ [ Snet.Box.T "x" ] ] (fun ~emit -> function
+        | [ Snet.Box.Tag x ] ->
+            for k = 0 to 7 do
+              emit 1 [ Snet.Box.Tag ((8 * x) + k) ]
+            done
+        | _ -> assert false))
+  in
+  Snet.Net.serial fan (Sudoku.Networks.shard ~shards:2 ())
+
+let fanout_plan =
+  [|
+    Plan.Run { lo = 0; hi = 1 };
+    Plan.Shard { seg = 2; shards = 2 };
+    Plan.Run { lo = 3; hi = 3 };
+  |]
+
+let run_loopback ~plan ~credits ?supervision ~kill net inputs =
+  Engine_dist.run ~workers:(Plan.parts plan) ~plan ~batch:64 ~credits
+    ?supervision ?kill_worker:kill ~crash_flush:(kill <> None) net inputs
+
+let test_batched_routing_stress () =
+  batched_routing_stress ~run:run_loopback ~plan:(shard_plan 2)
+    (Sudoku.Networks.shard ~shards:2 ())
+    (shard_inputs stress_records);
+  batched_routing_stress ~run:run_loopback ~plan:fanout_plan
+    (fanout_shard_net ())
+    (shard_inputs 250)
+
+let test_batched_routing_stress_tcp () =
+  match Sys.getenv_opt "SNET_WORKER_EXE" with
+  | None -> Alcotest.skip ()
+  | Some _ when not (tcp_enabled ()) -> Alcotest.skip ()
+  | Some worker_exe ->
+      batched_routing_stress ~plan:(shard_plan 2)
+        ~run:(fun ~plan ~credits ?supervision ~kill net inputs ->
+          Engine_dist.run_spawned ~worker_exe
+            ~spec:(Sudoku.Netspec.spec ~shards:2 "shard")
+            ~workers:(Plan.parts plan) ~plan ~batch:64 ~credits ?supervision
+            ?crash_after:kill ~crash_flush:(kill <> None) net inputs)
+        (Sudoku.Networks.shard ~shards:2 ())
+        (shard_inputs stress_records)
+
+(* ------------------------------------------------------------------ *)
 (* Live migration                                                      *)
 
 (* Move a partition mid-run: output stays multiset-identical, the
@@ -1216,6 +1344,10 @@ let suite =
     Alcotest.test_case "shard=seq over TCP (smoke)" `Quick test_dist_shard_tcp;
     Alcotest.test_case "shard replica kill (all policies)" `Quick
       test_dist_shard_kill_worker;
+    Alcotest.test_case "batched routing stress (loopback)" `Quick
+      test_batched_routing_stress;
+    Alcotest.test_case "batched routing stress over TCP (smoke)" `Quick
+      test_batched_routing_stress_tcp;
     Alcotest.test_case "migrate mid-run" `Quick test_migrate_mid_run;
     Alcotest.test_case "migrate refusals" `Quick test_migrate_refusals;
     Alcotest.test_case "migrate freeze death -> crash recovery" `Quick

@@ -253,8 +253,29 @@ let test_conc_feed_finish_cycles () =
       Alcotest.(check (list int)) "first batch" [ 2 ] (tags_of "x" first);
       Conc_e.feed inst (record ~f:[] ~t:[ ("x", 10) ]);
       let second = Conc_e.finish inst in
-      Alcotest.(check (list int)) "outputs accumulate" [ 2; 11 ]
+      Alcotest.(check (list int)) "finish returns only the delta" [ 11 ]
         (tags_of "x" second))
+
+(* A streaming instance hands every output to [on_output] as it
+   arrives and retains none of them for [finish]. *)
+let test_conc_on_output_retains_nothing () =
+  with_pool 2 (fun pool ->
+      let seen = ref [] and mu = Mutex.create () in
+      let on_output r =
+        Mutex.lock mu;
+        seen := r :: !seen;
+        Mutex.unlock mu
+      in
+      let inst = Conc_e.start ~pool ~on_output (Net.box inc) in
+      List.iter (Conc_e.feed inst) (xs_in [ 1; 2; 3 ]);
+      Alcotest.(check int) "finish returns nothing" 0
+        (List.length (Conc_e.finish inst));
+      Conc_e.feed inst (record ~f:[] ~t:[ ("x", 10) ]);
+      Alcotest.(check int) "nor on a later cycle" 0
+        (List.length (Conc_e.finish inst));
+      Alcotest.(check (list int)) "every output reached the callback"
+        [ 2; 3; 4; 11 ]
+        (List.sort compare (tags_of "x" !seen)))
 
 let test_conc_admission_check () =
   with_pool 2 (fun pool ->
@@ -309,6 +330,8 @@ let suite =
     Alcotest.test_case "conc: star stats" `Quick test_conc_star_unfolding_stats;
     Alcotest.test_case "conc: box failure" `Quick test_conc_box_failure;
     Alcotest.test_case "conc: feed/finish cycles" `Quick test_conc_feed_finish_cycles;
+    Alcotest.test_case "conc: on_output retains nothing" `Quick
+      test_conc_on_output_retains_nothing;
     Alcotest.test_case "conc: admission check" `Quick test_conc_admission_check;
     Alcotest.test_case "conc: zero-worker pool" `Quick test_conc_zero_worker_pool;
     Seeded.to_alcotest prop_engines_agree;
