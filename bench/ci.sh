@@ -18,6 +18,15 @@ echo "== tier-1: dune build && dune runtest =="
 dune build
 dune runtest
 
+echo "== in-process CLI solves =="
+# One fig2 solve through the CLI on each in-process engine, so both
+# values of --engine run end to end (the smokes below drive the CLI
+# only through --workers).
+for engine in seq conc; do
+  ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy \
+    --engine "$engine" > /dev/null
+done
+
 echo "== fault-injection smoke =="
 dune build @fault-smoke
 

@@ -22,15 +22,15 @@
      combinators   Per-record overhead of each S-Net combinator on both
                    engines.
      interpreted   Mini-SaC source boxes vs native OCaml boxes.
-     engines       The same network on the sequential, actor and
-                   thread-per-box engines.
-     ablation      Actor batch size, thread-engine channel capacity,
-                   determinism overhead on a real workload.
+     engines       The same network on the sequential and actor
+                   engines.
+     ablation      Actor batch size and determinism overhead on a
+                   real workload.
      propagation   Constraint deduction vs pure search inside Fig. 1.
      faults        Supervision layer: error-record overhead on the
                    no-failure path (acceptance: <= 10%) and throughput
                    of a flaky pipeline under error-record and retry on
-                   all three engines. Emits BENCH_faults.json.
+                   both engines. Emits BENCH_faults.json.
      obsv          Observability layer: fig2/medium with the event
                    sink / metrics on vs off (paired, interleaved
                    rounds), disabled-probe cost, a 2-worker loopback
@@ -626,10 +626,10 @@ let exp_interpreted () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* engines: one workload on all three execution engines               *)
+(* engines: one workload on both execution engines                    *)
 
 let exp_engines () =
-  Printf.printf "\n== engines: the same network on all three engines ==\n";
+  Printf.printf "\n== engines: the same network on both engines ==\n";
   let board = board_of "medium" in
   let net = Sudoku.Networks.fig2 () in
   let inputs () = [ Sudoku.Boxes.inject_board board ] in
@@ -640,8 +640,6 @@ let exp_engines () =
       Test.make ~name:"engine/actors"
         (Staged.stage (fun () ->
              Snet.Engine_conc.run ~pool:(Lazy.force conc_pool) net (inputs ())));
-      Test.make ~name:"engine/threads"
-        (Staged.stage (fun () -> Snet.Engine_thread.run net (inputs ())));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -649,7 +647,7 @@ let exp_engines () =
 
 let exp_ablation () =
   Printf.printf
-    "\n== ablation: actor batch size and thread-engine channel capacity ==\n";
+    "\n== ablation: actor batch size and determinism overhead ==\n";
   let board = board_of "medium" in
   let net = Sudoku.Networks.fig2 () in
   let inputs () = [ Sudoku.Boxes.inject_board board ] in
@@ -660,13 +658,6 @@ let exp_ablation () =
            (Staged.stage (fun () ->
                 Snet.Engine_conc.run ~pool:(Lazy.force conc_pool) ~batch:b net
                   (inputs ()))))
-       [ 1; 8; 64; 512 ]);
-  bench "thread engine channel capacity (fig2, medium)" ~quota:1.0
-    (List.map
-       (fun c ->
-         Test.make ~name:(Printf.sprintf "threads/capacity=%d" c)
-           (Staged.stage (fun () ->
-                Snet.Engine_thread.run ~capacity:c net (inputs ()))))
        [ 1; 8; 64; 512 ]);
   bench "determinism overhead on the real workload" ~quota:1.0
     [
@@ -788,10 +779,6 @@ let exp_faults () =
         (Staged.stage (fun () ->
              Snet.Engine_conc.run ~pool:(Lazy.force conc_pool)
                ~supervision:record_cfg (flaky_net ()) inputs));
-      Test.make ~name:"flaky/threads/error-record"
-        (Staged.stage (fun () ->
-             Snet.Engine_thread.run ~supervision:record_cfg (flaky_net ())
-               inputs));
     ];
   (* One instrumented run, for the supervision counters and per-box
      latency percentiles (via the obsv metrics layer). *)

@@ -5,7 +5,7 @@
 open Cmdliner
 
 type network_kind = Baseline | Fig1 | Fig2 | Fig3 | Shard
-type engine_kind = Seq | Conc | Threads
+type engine_kind = Seq | Conc
 
 let load_board puzzle file =
   match (puzzle, file) with
@@ -257,9 +257,6 @@ let run_solver kind engine det throttle cutoff domains workers dist_batch
               | Conc ->
                   Snet.Engine_conc.run ~pool ?observer ~stats ?supervision net
                     inputs
-              | Threads ->
-                  Snet.Engine_thread.run ?observer ~stats ?supervision net
-                    inputs
             in
             (outputs, "network")
         in
@@ -335,7 +332,7 @@ let network_conv =
       ("shard", Shard);
     ]
 
-let engine_conv = Arg.enum [ ("seq", Seq); ("conc", Conc); ("threads", Threads) ]
+let engine_conv = Arg.enum [ ("seq", Seq); ("conc", Conc) ]
 
 let policy_conv =
   let parse s =
@@ -353,7 +350,7 @@ let cmd =
     Arg.(value & opt network_conv Fig2 & info [ "network"; "n" ] ~doc:"Solver: baseline, fig1, fig2 or fig3.")
   in
   let engine =
-    Arg.(value & opt engine_conv Conc & info [ "engine"; "e" ] ~doc:"Engine: seq, conc or threads.")
+    Arg.(value & opt engine_conv Conc & info [ "engine"; "e" ] ~doc:"Engine: seq or conc.")
   in
   let det =
     Arg.(value & flag & info [ "det" ] ~doc:"Use deterministic combinator variants.")

@@ -1,4 +1,4 @@
-(** The deterministic-merge protocol, shared by the concurrent engines.
+(** The deterministic-merge protocol of the concurrent engine.
 
     S-Net's deterministic combinators ([|], [*], [!]) must release
     records in the causal order of the records that entered the

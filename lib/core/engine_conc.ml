@@ -415,15 +415,18 @@ let start ?pool ?exec ?batch ?mailbox ?observer ?on_output ?stats ?supervision
   eng
 
 let feed eng r =
-  (* Admission check, once per distinct input variant. *)
+  (* Admission check, once per distinct input variant. A variant is
+     marked checked only after [Typecheck.flow] accepts it, so a
+     rejected variant stays rejected on every later feed. *)
   let v = Rectype.Variant.of_record r in
   let key = (Rectype.Variant.fields v, Rectype.Variant.tags v) in
   Mutex.lock eng.imutex;
-  let fresh = not (Hashtbl.mem eng.checked key) in
-  if fresh then Hashtbl.add eng.checked key ();
-  Mutex.unlock eng.imutex;
-  if fresh then ignore (Typecheck.flow [ v ] eng.net);
-  Mutex.lock eng.imutex;
+  if not (Hashtbl.mem eng.checked key) then begin
+    Mutex.unlock eng.imutex;
+    ignore (Typecheck.flow [ v ] eng.net);
+    Mutex.lock eng.imutex;
+    Hashtbl.replace eng.checked key ()
+  end;
   let i = eng.next_input in
   eng.next_input <- i + 1;
   Mutex.unlock eng.imutex;

@@ -71,9 +71,10 @@ val start :
 val feed : instance -> Record.t -> unit
 (** Inject one record into the network's input stream. May block
     briefly when the entry actor's bounded mailbox is full
-    (backpressure); the caller then helps drain the pool. The first
-    record of each distinct variant is admission-checked against the
-    network with {!Typecheck.flow}.
+    (backpressure); the caller then helps drain the pool. Each record
+    is admission-checked against the network with {!Typecheck.flow}
+    until one record of its variant has been accepted, so a rejected
+    variant is rejected on every feed.
     @raise Typecheck.Type_error when the record cannot flow through
     the network. *)
 

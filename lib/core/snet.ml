@@ -15,10 +15,8 @@
     - {!Engine_seq}: deterministic reference interpreter;
     - {!Engine_conc}: concurrent actor engine with demand-driven
       unfolding and deterministic-merge support;
-    - {!Engine_thread}: thread-per-component engine with bounded
-      channels and backpressure;
-    - {!Detmerge}: the sort-record-style protocol shared by the
-      concurrent engines;
+    - {!Detmerge}: the sort-record-style protocol behind the
+      concurrent engine's deterministic combinators;
     - {!Trace}: stream observers;
     - {!Stats}: unfolding and workload counters.
 
@@ -50,7 +48,6 @@ module Stats = Stats
 module Trace = Trace
 module Engine_seq = Engine_seq
 module Engine_conc = Engine_conc
-module Engine_thread = Engine_thread
 module Detmerge = Detmerge
 module Errors = Errors
 module Supervise = Supervise

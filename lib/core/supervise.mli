@@ -1,5 +1,5 @@
 (** Box supervision: failure policy, timeouts and well-typed error
-    records, shared by all three engines.
+    records, shared by every engine.
 
     In the paper's setting a box is foreign computation (a SaC
     function); S-Net has no opinion about what happens when it fails.

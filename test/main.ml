@@ -17,7 +17,6 @@ let () =
       ("optimize", Test_optimize.suite);
       ("sync", Test_sync.suite);
       ("engines", Test_engines.suite);
-      ("engine_thread", Test_engine_thread.suite);
       ("trace", Test_trace.suite);
       ("random_nets", Test_random_nets.suite);
       ("detmerge", Test_detmerge.suite);

@@ -76,20 +76,6 @@ let test_actor_names () =
         (try ignore (Streams.Actors.system ~pool ~batch:0 ()); false
          with Invalid_argument _ -> true))
 
-let test_thread_engine_observer () =
-  let rec_ = Snet.Trace.recorder () in
-  let inc =
-    Box.make ~name:"inc" ~input:[ Box.T "x" ] ~outputs:[ [ Box.T "x" ] ]
-      (fun ~emit -> function
-        | [ Tag x ] -> emit 1 [ Tag (x + 1) ]
-        | _ -> assert false)
-  in
-  ignore
-    (Snet.Engine_thread.run ~observer:rec_.Snet.Trace.observe (Net.box inc)
-       [ Snet.record ~tags:[ ("x", 1) ] () ]);
-  Alcotest.(check int) "observed on the thread engine" 1
-    (List.length (rec_.Snet.Trace.entries ()))
-
 let test_count_solutions_limit () =
   Alcotest.(check int) "limit respected" 5
     (Sudoku.Solver.count_solutions ~limit:5 (Sudoku.Board.empty 2))
@@ -137,7 +123,6 @@ let suite =
     Alcotest.test_case "channel of_list unclosed" `Quick test_channel_unclosed_of_list;
     Alcotest.test_case "default pool" `Quick test_pool_default_configuration;
     Alcotest.test_case "actor names and batch" `Quick test_actor_names;
-    Alcotest.test_case "thread-engine observer" `Quick test_thread_engine_observer;
     Alcotest.test_case "count_solutions limit" `Quick test_count_solutions_limit;
     Alcotest.test_case "board construction errors" `Quick test_board_of_rows_errors;
     Alcotest.test_case "generator accessors" `Quick test_generator_accessors;

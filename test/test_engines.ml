@@ -280,9 +280,57 @@ let test_conc_on_output_retains_nothing () =
 let test_conc_admission_check () =
   with_pool 2 (fun pool ->
       let inst = Conc_e.start ~pool (Net.box inc) in
-      Alcotest.(check bool) "bad record rejected at feed" true
-        (try Conc_e.feed inst (record ~f:[ ("y", 0) ] ~t:[]); false
-         with Snet.Typecheck.Type_error _ -> true))
+      (* A rejected variant must not count as admitted: the repeat
+         feed is rejected too, instead of reaching the box. *)
+      List.iter
+        (fun attempt ->
+          Alcotest.(check bool) (attempt ^ " bad feed rejected") true
+            (try Conc_e.feed inst (record ~f:[] ~t:[ ("y", 0) ]); false
+             with Snet.Typecheck.Type_error _ -> true))
+        [ "first"; "second" ];
+      Conc_e.feed inst (record ~f:[] ~t:[ ("x", 1) ]);
+      Alcotest.(check (list int)) "a good record still runs" [ 2 ]
+        (tags_of "x" (Conc_e.finish inst)))
+
+(* A one-slot mailbox parks producers on nearly every hop; the run
+   still completes with the reference output, on the caller alone and
+   on worker domains. *)
+let test_conc_mailbox_backpressure () =
+  let net =
+    Net.serial (Net.box dup)
+      (Net.star ~det:true (Net.box countdown) done_pattern)
+  in
+  let inputs = xs_in [ 4; 9; 2 ] in
+  let expected = tags_of "x" (Seq_e.run net inputs) in
+  List.iter
+    (fun domains ->
+      with_pool domains (fun pool ->
+          let stats = Snet.Stats.create () in
+          let label = Printf.sprintf "%d domains" domains in
+          Alcotest.(check (list int)) (label ^ ": reference output") expected
+            (tags_of "x" (Conc_e.run ~pool ~mailbox:1 ~stats net inputs));
+          Alcotest.(check bool) (label ^ ": producers stalled") true
+            ((Snet.Stats.snapshot stats).Snet.Stats.backpressure_stalls > 0)))
+    [ 0; 1; 2 ];
+  Alcotest.(check bool) "mailbox 0 rejected" true
+    (try ignore (Conc_e.start ~mailbox:0 (Net.box inc)); false
+     with Invalid_argument _ -> true)
+
+(* The actor engine reports the same edges as the reference. *)
+let test_conc_observer () =
+  let edges run =
+    let rec_ = Snet.Trace.recorder () in
+    ignore
+      (run ~observer:rec_.Snet.Trace.observe
+         (Net.observe "probe" (Net.box inc))
+         (xs_in [ 1 ]));
+    List.sort compare
+      (List.map (fun e -> e.Snet.Trace.edge) (rec_.Snet.Trace.entries ()))
+  in
+  let seq = edges (fun ~observer net rs -> Seq_e.run ~observer net rs) in
+  with_pool 2 (fun pool ->
+      Alcotest.(check (list string)) "conc edges = seq edges" seq
+        (edges (fun ~observer net rs -> Conc_e.run ~pool ~observer net rs)))
 
 let test_conc_zero_worker_pool () =
   with_pool 0 (fun pool ->
@@ -333,6 +381,9 @@ let suite =
     Alcotest.test_case "conc: on_output retains nothing" `Quick
       test_conc_on_output_retains_nothing;
     Alcotest.test_case "conc: admission check" `Quick test_conc_admission_check;
+    Alcotest.test_case "conc: mailbox 1 backpressure" `Quick
+      test_conc_mailbox_backpressure;
+    Alcotest.test_case "conc: observer" `Quick test_conc_observer;
     Alcotest.test_case "conc: zero-worker pool" `Quick test_conc_zero_worker_pool;
     Seeded.to_alcotest prop_engines_agree;
   ]

@@ -1,4 +1,4 @@
-(* Supervision across all three engines: error records, retry,
+(* Supervision on the sequential and actor engines: error records, retry,
    timeouts, and the streams-layer failure/backpressure behaviour the
    supervision layer leans on. *)
 
@@ -10,7 +10,6 @@ module Value = Snet.Value
 module Sup = Snet.Supervise
 module Seq_e = Snet.Engine_seq
 module Conc_e = Snet.Engine_conc
-module Thread_e = Snet.Engine_thread
 module Channel = Streams.Channel
 module Actors = Streams.Actors
 
@@ -48,7 +47,7 @@ let record_cfg = Sup.make ~policy:Sup.Error_record ()
 let multiset records = List.sort compare (List.map Record.to_string records)
 
 (* The acceptance scenario: a 1-in-10 failing box under [Error_record]
-   yields the same multiset of success + error records on all three
+   yields the same multiset of success + error records on both
    engines, and nothing hangs. *)
 let test_error_record_all_engines () =
   let inputs = xs_in (List.init 30 (fun i -> i)) in
@@ -57,7 +56,6 @@ let test_error_record_all_engines () =
     with_pool 2 (fun pool ->
         Conc_e.run ~pool ~supervision:record_cfg (flaky_net ()) inputs)
   in
-  let thr = Thread_e.run ~supervision:record_cfg (flaky_net ()) inputs in
   List.iter
     (fun (engine, outs) ->
       let errors = List.filter Sup.is_error outs in
@@ -74,11 +72,9 @@ let test_error_record_all_engines () =
             | Some m -> Snet.Trace.contains ~needle:"injected fault" m
             | None -> false))
         errors)
-    [ ("seq", seq); ("conc", conc); ("thread", thr) ];
+    [ ("seq", seq); ("conc", conc) ];
   Alcotest.(check (list string)) "seq = conc as multisets" (multiset seq)
-    (multiset conc);
-  Alcotest.(check (list string)) "seq = thread as multisets" (multiset seq)
-    (multiset thr)
+    (multiset conc)
 
 (* Error records flow-inherit the failing input: the <x> tag survives
    and the shift box downstream never sees the record. *)
@@ -101,8 +97,7 @@ let test_fail_fast_raises_everywhere () =
   in
   expect_failure "seq" (fun net ins -> Seq_e.run net ins);
   with_pool 2 (fun pool ->
-      expect_failure "conc" (fun net ins -> Conc_e.run ~pool net ins));
-  expect_failure "thread" (fun net ins -> Thread_e.run net ins)
+      expect_failure "conc" (fun net ins -> Conc_e.run ~pool net ins))
 
 (* Retry: a box that fails twice per record then succeeds recovers
    under [Retry 3] with no error records; the stats show the retries. *)

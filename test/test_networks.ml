@@ -141,24 +141,6 @@ let test_networks_on_conc_engine () =
           ("fig3 det", Networks.fig3 ~det:true ());
         ])
 
-let test_networks_on_thread_engine () =
-  List.iter
-    (fun (name, net) ->
-      let board = Puzzles.easy in
-      let seq = solution_key (run_seq net board) in
-      let thr =
-        solution_key
-          (Networks.solved_boards
-             (Snet.Engine_thread.run net [ Boxes.inject_board board ]))
-      in
-      Alcotest.(check (list string)) (name ^ ": thread engine agrees") seq thr)
-    [
-      ("fig1", Networks.fig1 ());
-      ("fig2", Networks.fig2 ());
-      ("fig3", Networks.fig3 ());
-      ("fig2 det", Networks.fig2 ~det:true ());
-    ]
-
 let test_conc_multiple_boards () =
   with_pool 2 (fun pool ->
       let boards =
@@ -216,7 +198,6 @@ let suite =
     Alcotest.test_case "fig3 cutoff semantics" `Quick test_fig3_cutoff_semantics;
     Alcotest.test_case "fig3 parameter validation" `Quick test_fig3_parameter_validation;
     Alcotest.test_case "all networks on the concurrent engine" `Quick test_networks_on_conc_engine;
-    Alcotest.test_case "networks on the thread engine" `Quick test_networks_on_thread_engine;
     Alcotest.test_case "several boards through one network" `Quick test_conc_multiple_boards;
     Alcotest.test_case "fig1 det: exact order across engines" `Quick test_fig1_det_exact_order;
     Alcotest.test_case "unsolvable: silent death" `Quick test_unsolvable_produces_no_output;

@@ -6,8 +6,8 @@
    schedule-exploring oracle and the replay CLI), so the grammar here
    includes synchrocells, feedback stars and supervised boxes (error
    records, retry exhaustion with backoff, timeout overruns). These
-   properties exercise the REAL engines — OS threads, domain pool,
-   wall clock; the same specs run under virtual schedules in
+   properties exercise the REAL actor engine — domain pool, wall
+   clock; the same specs run under virtual schedules in
    [test_detcheck]. *)
 
 module Net = Snet.Net
@@ -30,13 +30,8 @@ let run_differential spec =
   Fun.protect
     ~finally:(fun () -> Scheduler.Pool.shutdown pool)
     (fun () ->
-      let conc =
-        Netgen.signature_string ~det (Snet.Engine_conc.run ~pool net records)
-      in
-      let thr =
-        Netgen.signature_string ~det (Snet.Engine_thread.run net records)
-      in
-      conc = reference && thr = reference)
+      Netgen.signature_string ~det (Snet.Engine_conc.run ~pool net records)
+      = reference)
 
 let prop_det =
   QCheck.Test.make ~name:"random det nets: all engines byte-identical"

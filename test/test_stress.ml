@@ -47,9 +47,7 @@ let test_many_records_all_engines () =
     (tags_of "x" (Snet.Engine_seq.run net inputs));
   with_pool 2 (fun pool ->
       Alcotest.(check (list int)) "actors" expected
-        (tags_of "x" (Snet.Engine_conc.run ~pool net inputs)));
-  Alcotest.(check (list int)) "threads" expected
-    (tags_of "x" (Snet.Engine_thread.run net inputs))
+        (tags_of "x" (Snet.Engine_conc.run ~pool net inputs)))
 
 let test_deep_star () =
   (* Up to 300 pipeline stages — well past the paper's 81. *)
