@@ -17,6 +17,7 @@ let () =
       ("optimize", Test_optimize.suite);
       ("sync", Test_sync.suite);
       ("engines", Test_engines.suite);
+      ("actor_options", Test_engines.actor_options_suite);
       ("trace", Test_trace.suite);
       ("random_nets", Test_random_nets.suite);
       ("detmerge", Test_detmerge.suite);

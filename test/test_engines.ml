@@ -381,9 +381,15 @@ let suite =
     Alcotest.test_case "conc: on_output retains nothing" `Quick
       test_conc_on_output_retains_nothing;
     Alcotest.test_case "conc: admission check" `Quick test_conc_admission_check;
+    Alcotest.test_case "conc: zero-worker pool" `Quick test_conc_zero_worker_pool;
+    Seeded.to_alcotest prop_engines_agree;
+  ]
+
+(* The actor engine's start options: the mailbox bound and the
+   observer. *)
+let actor_options_suite =
+  [
     Alcotest.test_case "conc: mailbox 1 backpressure" `Quick
       test_conc_mailbox_backpressure;
     Alcotest.test_case "conc: observer" `Quick test_conc_observer;
-    Alcotest.test_case "conc: zero-worker pool" `Quick test_conc_zero_worker_pool;
-    Seeded.to_alcotest prop_engines_agree;
   ]

@@ -47,15 +47,17 @@ let record_cfg = Sup.make ~policy:Sup.Error_record ()
 let multiset records = List.sort compare (List.map Record.to_string records)
 
 (* The acceptance scenario: a 1-in-10 failing box under [Error_record]
-   yields the same multiset of success + error records on both
-   engines, and nothing hangs. *)
+   yields the same multiset of success + error records on the
+   sequential engine and on the actor engine with 2 worker domains and
+   with none (every actor runs on the caller), and nothing hangs. *)
 let test_error_record_all_engines () =
   let inputs = xs_in (List.init 30 (fun i -> i)) in
   let seq = Seq_e.run ~supervision:record_cfg (flaky_net ()) inputs in
-  let conc =
-    with_pool 2 (fun pool ->
+  let conc n =
+    with_pool n (fun pool ->
         Conc_e.run ~pool ~supervision:record_cfg (flaky_net ()) inputs)
   in
+  let conc0 = conc 0 and conc = conc 2 in
   List.iter
     (fun (engine, outs) ->
       let errors = List.filter Sup.is_error outs in
@@ -72,9 +74,11 @@ let test_error_record_all_engines () =
             | Some m -> Snet.Trace.contains ~needle:"injected fault" m
             | None -> false))
         errors)
-    [ ("seq", seq); ("conc", conc) ];
+    [ ("seq", seq); ("conc", conc); ("conc/0", conc0) ];
   Alcotest.(check (list string)) "seq = conc as multisets" (multiset seq)
-    (multiset conc)
+    (multiset conc);
+  Alcotest.(check (list string)) "seq = conc/0 as multisets" (multiset seq)
+    (multiset conc0)
 
 (* Error records flow-inherit the failing input: the <x> tag survives
    and the shift box downstream never sees the record. *)
@@ -96,8 +100,12 @@ let test_fail_fast_raises_everywhere () =
        with Failure _ -> true)
   in
   expect_failure "seq" (fun net ins -> Seq_e.run net ins);
-  with_pool 2 (fun pool ->
-      expect_failure "conc" (fun net ins -> Conc_e.run ~pool net ins))
+  List.iter
+    (fun n ->
+      with_pool n (fun pool ->
+          expect_failure (Printf.sprintf "conc/%d" n) (fun net ins ->
+              Conc_e.run ~pool net ins)))
+    [ 2; 0 ]
 
 (* Retry: a box that fails twice per record then succeeds recovers
    under [Retry 3] with no error records; the stats show the retries. *)
