@@ -21,9 +21,18 @@ dune runtest
 echo "== in-process CLI solves =="
 # One fig2 solve through the CLI on each in-process engine, so both
 # values of --engine run end to end (the smokes below drive the CLI
-# only through --workers).
+# only through --workers). A second pair reads the easy puzzle with
+# --file, written the way a puzzle file usually is: one 81-character
+# line ending in a newline.
+puzzle_file="$(mktemp)"
+trap 'rm -f "$puzzle_file"' EXIT
+printf '%s\n' \
+  530070000600195000098000060800060003400803001700020006060000280000419005000080079 \
+  > "$puzzle_file"
 for engine in seq conc; do
   ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy \
+    --engine "$engine" > /dev/null
+  ./_build/default/bin/snet_sudoku.exe --network fig2 --file "$puzzle_file" \
     --engine "$engine" > /dev/null
 done
 

@@ -3,7 +3,9 @@
    for recorded results):
 
      baseline      Section 3's "solves 9x9 sudokus in far less than a
-                   second" claim, per corpus puzzle.
+                   second" claim, per corpus puzzle. Emits
+                   BENCH_kernels.json (with dataparallel's rows when
+                   both run in one process).
      fig1/2/3      The three networks of Section 5: timing on both
                    engines plus the unfolding topology (pipeline depth,
                    split replicas, box instances) against the paper's
@@ -12,10 +14,10 @@
                    star cutoff.
      dataparallel  Section 3's claim that addNumber/findMinTrues
                    parallelise for free: with-loop kernels across board
-                   sizes and domain counts.
+                   sizes and domain counts. Emits BENCH_kernels.json.
      scheduler     The data-parallel substrate itself: work-stealing
-                   pool vs the seed mutex-FIFO pool, with-loop dense
-                   fast path vs the general path, task round-trips,
+                   pool vs the seed mutex-FIFO pool, with-loop
+                   unit-step vs strided generators, task round-trips,
                    steal/park counters. Emits BENCH_scheduler.json
                    (set BENCH_SMOKE=1 for a tiny CI-sized run).
      scaling       Hybrid networks across domain counts.
@@ -136,25 +138,71 @@ let run_network_conc net board =
     [ Sudoku.Boxes.inject_board board ]
 
 (* ------------------------------------------------------------------ *)
+(* BENCH_*.json emission                                              *)
+
+(* Every BENCH_*.json goes through Obsv.Jsonx: build the document as a
+   value, write it, and parse it back before trusting the artifact
+   (Jsonx.write_file does the read-back). NaN estimates degrade to -1,
+   the long-standing "no measurement" marker in these files. *)
+let jnum x = Obsv.Jsonx.Num (if Float.is_nan x then -1.0 else x)
+let jint n = Obsv.Jsonx.Num (float_of_int n)
+
+let jrows rows =
+  Obsv.Jsonx.List
+    (List.map
+       (fun (name, ns) ->
+         Obsv.Jsonx.Obj
+           [ ("name", Obsv.Jsonx.Str name); ("ns_per_run", jnum ns) ])
+       rows)
+
+let write_bench_json path doc rows =
+  match Obsv.Jsonx.write_file ~path doc with
+  | Ok () -> Printf.printf "  wrote %s (%d results)\n" path (List.length rows)
+  | Error e ->
+      Printf.eprintf "bench: %s\n" e;
+      exit 1
+
+(* ------------------------------------------------------------------ *)
 (* baseline: Section 3's sub-second claim                              *)
+
+(* baseline and dataparallel persist their rows together in
+   BENCH_kernels.json: running either rewrites the file with every
+   kernel row collected so far in this process. Neither has a smoke
+   mode. *)
+let kernel_rows = ref []
+
+let collect_kernels title ?quota tests =
+  kernel_rows := !kernel_rows @ bench_collect title ?quota tests
+
+let write_kernels_json () =
+  let rows = !kernel_rows in
+  write_bench_json "BENCH_kernels.json"
+    (Obsv.Jsonx.Obj
+       [
+         ("bench", Obsv.Jsonx.Str "kernels");
+         ("host_recommended_domains", jint (Domain.recommended_domain_count ()));
+         ("smoke", Obsv.Jsonx.Bool false);
+         ("results", jrows rows);
+       ])
+    rows
 
 let exp_baseline () =
   Printf.printf "\n== baseline: pure-SaC sequential solver (Section 3) ==\n";
-  bench "solver, min-options heuristic"
+  collect_kernels "solver, min-options heuristic"
     (List.map
        (fun e ->
          let board = e.Sudoku.Puzzles.board in
          Test.make ~name:("solve/" ^ e.Sudoku.Puzzles.name)
            (Staged.stage (fun () -> Sudoku.Solver.solve board)))
        Sudoku.Puzzles.all);
-  bench "solver, 16x16 board"
+  collect_kernels "solver, 16x16 board"
     [
       Test.make ~name:"solve/16x16-60holes"
         (Staged.stage (fun () -> Sudoku.Solver.solve Sudoku.Puzzles.sixteen));
     ];
   (* The findFirst-vs-findMinTrues refinement the paper motivates. *)
   let medium = board_of "medium" in
-  bench "heuristic refinement (findFirst vs findMinTrues)"
+  collect_kernels "heuristic refinement (findFirst vs findMinTrues)"
     [
       Test.make ~name:"solve/medium/findFirst"
         (Staged.stage (fun () ->
@@ -163,8 +211,19 @@ let exp_baseline () =
         (Staged.stage (fun () ->
              Sudoku.Solver.solve ~choice:Sudoku.Heuristics.Min_trues medium));
     ];
+  (* The kernel call interpreted times against its mini-SaC twin, here
+     in a process with no extra domains: dataparallel's pools make
+     every minor collection a stop-the-world across their domains. *)
+  let board = Sudoku.Board.empty 3 and opts = Sudoku.Rules.all_options 9 in
+  collect_kernels "one addNumber on a 9x9 board"
+    [
+      Test.make ~name:"addNumber/n=3/seq"
+        (Staged.stage (fun () ->
+             Sudoku.Rules.add_number ~i:4 ~j:5 ~k:7 board opts));
+    ];
   Printf.printf
-    "\n  paper claim: 9x9 boards solve 'in far less than a second'.\n"
+    "\n  paper claim: 9x9 boards solve 'in far less than a second'.\n";
+  write_kernels_json ()
 
 (* ------------------------------------------------------------------ *)
 (* figs 1-3: timing and topology                                       *)
@@ -262,7 +321,8 @@ let exp_dataparallel () =
       (fun n -> (n, Sudoku.Generate.puzzle ~seed:11 ~n ~holes:(8 * n * n) ()))
       [ 3; 4; 5 ]
   in
-  bench "computeOpts (init_options) across board sizes and domains" ~quota:1.0
+  collect_kernels "computeOpts (init_options) across board sizes and domains"
+    ~quota:1.0
     (List.concat_map
        (fun (n, board) ->
          List.map
@@ -272,7 +332,7 @@ let exp_dataparallel () =
                (Staged.stage (fun () -> Sudoku.Rules.init_options ?pool board)))
            pools)
        boards);
-  bench "single addNumber on a 25x25 board"
+  collect_kernels "single addNumber on a 25x25 board"
     (let board = Sudoku.Board.empty 5 in
      let opts = Sudoku.Rules.all_options 25 in
      List.map
@@ -281,7 +341,7 @@ let exp_dataparallel () =
            (Staged.stage (fun () ->
                 Sudoku.Rules.add_number ?pool ~i:12 ~j:12 ~k:7 board opts)))
        pools);
-  bench "raw with-loop genarray 512x512" ~quota:1.0
+  collect_kernels "raw with-loop genarray 512x512" ~quota:1.0
     (List.map
        (fun (pname, pool) ->
          Test.make ~name:("genarray/512x512/" ^ pname)
@@ -289,7 +349,7 @@ let exp_dataparallel () =
                 Sacarray.With_loop.genarray_init ?pool ~shape:[| 512; 512 |]
                   (fun iv -> iv.(0) * iv.(1) land 1023))))
        pools);
-  bench "raw fold with-loop over 1M elements" ~quota:1.0
+  collect_kernels "raw fold with-loop over 1M elements" ~quota:1.0
     (List.map
        (fun (pname, pool) ->
          Test.make ~name:("fold/1M/" ^ pname)
@@ -300,32 +360,11 @@ let exp_dataparallel () =
                       fun iv -> iv.(0) land 7 );
                   ])))
        pools);
-  List.iter (fun (_, p) -> Option.iter Scheduler.Pool.shutdown p) pools
+  List.iter (fun (_, p) -> Option.iter Scheduler.Pool.shutdown p) pools;
+  write_kernels_json ()
 
 (* ------------------------------------------------------------------ *)
 (* scheduler: work-stealing pool vs the seed mutex-FIFO pool           *)
-
-(* Every BENCH_*.json goes through Obsv.Jsonx: build the document as a
-   value, write it, and parse it back before trusting the artifact
-   (Jsonx.write_file does the read-back). NaN estimates degrade to -1,
-   the long-standing "no measurement" marker in these files. *)
-let jnum x = Obsv.Jsonx.Num (if Float.is_nan x then -1.0 else x)
-let jint n = Obsv.Jsonx.Num (float_of_int n)
-
-let jrows rows =
-  Obsv.Jsonx.List
-    (List.map
-       (fun (name, ns) ->
-         Obsv.Jsonx.Obj
-           [ ("name", Obsv.Jsonx.Str name); ("ns_per_run", jnum ns) ])
-       rows)
-
-let write_bench_json path doc rows =
-  match Obsv.Jsonx.write_file ~path doc with
-  | Ok () -> Printf.printf "  wrote %s (%d results)\n" path (List.length rows)
-  | Error e ->
-      Printf.eprintf "bench: %s\n" e;
-      exit 1
 
 let exp_scheduler () =
   Printf.printf
@@ -378,11 +417,11 @@ let exp_scheduler () =
                     ~combine:( + ) ~init:0 (fun i -> i land 7)));
          ])
        fifos);
-  (* With-loop fast path (dense, flat offsets) vs general path (strided
-     generator over the same number of points), on the new pool. *)
+  (* With-loop unit-step vs step-2 generator over the same number of
+     points, on the new pool; both run on the one stride odometer. *)
   let wl_body iv = (iv.(0) * 31) + iv.(1) land 1023 in
   collect
-    (Printf.sprintf "with-loop genarray %dx%d: dense fast path vs strided"
+    (Printf.sprintf "with-loop genarray %dx%d: unit-step vs strided"
        side side)
     (List.concat_map
        (fun (d, wp) ->

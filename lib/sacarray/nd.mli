@@ -95,9 +95,11 @@ val to_string : ('a -> string) -> 'a t -> string
 
 (** {1 Unsafe interface for the with-loop engine}
 
-    These expose the underlying buffer without copying. They exist so
-    that {!With_loop} can build results in place; application code
-    should never need them. *)
+    These expose the underlying row-major buffer without copying. They
+    exist so that {!With_loop} can build results in place, and so that
+    a kernel that has checked an array's shape once can read its
+    elements by flat offset. Nothing may write to the buffer of an
+    array it did not just allocate. *)
 
 val unsafe_data : 'a t -> 'a array
 val unsafe_of_array : Shape.t -> 'a array -> 'a t

@@ -1,64 +1,73 @@
-type generator = {
-  lower : int array;
-  upper : int array; (* exclusive *)
-  step : int array;
-  counts : int array; (* index points per axis *)
-}
+(* One flat array per generator, four entries per axis [d]:
+   [4d] lower bound, [4d+1] step, [4d+2] number of index points,
+   [4d+3] normalised exclusive upper bound [lower + count * step].
+   Building a generator is one allocation, and it never aliases the
+   caller's bound vectors. *)
+type generator = { rank : int; axes : int array }
 
-let make_generator lower upper step =
+let lower g d = g.axes.(4 * d)
+let step g d = g.axes.((4 * d) + 1)
+let count g d = g.axes.((4 * d) + 2)
+let limit g d = g.axes.((4 * d) + 3)
+
+(* [incl] is 1 when [upper] is inclusive, 0 when exclusive. *)
+let make_generator ~incl ?step lower upper =
   let r = Array.length lower in
   if Array.length upper <> r then
     invalid_arg "With_loop.range: lower/upper rank mismatch";
-  if Array.length step <> r then
-    invalid_arg "With_loop.range: step rank mismatch";
-  Array.iter
-    (fun s -> if s < 1 then invalid_arg "With_loop.range: step < 1")
-    step;
-  let counts =
-    Array.init r (fun d ->
-        let extent = upper.(d) - lower.(d) in
-        if extent <= 0 then 0 else ((extent - 1) / step.(d)) + 1)
-  in
-  {
-    lower = Array.copy lower;
-    upper = Array.copy upper;
-    step = Array.copy step;
-    counts;
-  }
+  (match step with
+  | Some st when Array.length st <> r ->
+      invalid_arg "With_loop.range: step rank mismatch"
+  | _ -> ());
+  let axes = Array.make (4 * r) 0 in
+  for d = 0 to r - 1 do
+    let st = match step with Some st -> st.(d) | None -> 1 in
+    if st < 1 then invalid_arg "With_loop.range: step < 1";
+    let extent = upper.(d) + incl - lower.(d) in
+    let n =
+      if extent <= 0 then 0
+      else if st = 1 then extent
+      else ((extent - 1) / st) + 1
+    in
+    axes.(4 * d) <- lower.(d);
+    axes.((4 * d) + 1) <- st;
+    axes.((4 * d) + 2) <- n;
+    axes.((4 * d) + 3) <- lower.(d) + (n * st)
+  done;
+  { rank = r; axes }
 
-let range ?step lower upper =
-  let step =
-    match step with
-    | Some s -> s
-    | None -> Array.make (Array.length lower) 1
-  in
-  make_generator lower upper step
+let range ?step lower upper = make_generator ~incl:0 ?step lower upper
+let range_incl ?step lower upper = make_generator ~incl:1 ?step lower upper
 
-let range_incl ?step lower upper =
-  let upper_excl = Array.map (fun c -> c + 1) upper in
-  range ?step lower upper_excl
+let generator_size g =
+  let n = ref 1 in
+  for d = 0 to g.rank - 1 do
+    n := !n * count g d
+  done;
+  !n
 
-let generator_size g = Shape.size g.counts
-let generator_rank g = Array.length g.lower
+let generator_rank g = g.rank
 
 let generator_mem g idx =
-  Array.length idx = generator_rank g
+  Array.length idx = g.rank
   && (let ok = ref true in
-      for d = 0 to Array.length idx - 1 do
+      for d = 0 to g.rank - 1 do
         let c = idx.(d) in
-        if
-          c < g.lower.(d)
-          || c >= g.upper.(d)
-          || (c - g.lower.(d)) mod g.step.(d) <> 0
+        if c < lower g d || c >= limit g d || (c - lower g d) mod step g d <> 0
         then ok := false
       done;
       !ok)
 
-(* The [k]-th index point of [g] in row-major order over the point grid. *)
+(* The [k]-th index point of [g] in row-major order over the point
+   grid, computed from scratch: the definitional order the
+   odometer ([walk] below) must reproduce. *)
 let nth_point g k =
-  let idx = Shape.unravel g.counts k in
-  for d = 0 to Array.length idx - 1 do
-    idx.(d) <- g.lower.(d) + (idx.(d) * g.step.(d))
+  let idx = Array.make g.rank 0 in
+  let k = ref k in
+  for d = g.rank - 1 downto 0 do
+    let n = count g d in
+    idx.(d) <- lower g d + (!k mod n * step g d);
+    k := !k / n
   done;
   idx
 
@@ -71,119 +80,114 @@ let generator_iter g f =
 type 'a part = generator * (int array -> 'a)
 
 let check_generator ~shape g =
-  if generator_rank g <> Shape.rank shape then
+  if g.rank <> Shape.rank shape then
     invalid_arg
-      (Printf.sprintf "With_loop: generator rank %d against shape %s"
-         (generator_rank g) (Shape.to_string shape));
-  if generator_size g > 0 then begin
-    (* The extreme points bound the whole rectangle. *)
-    let top =
-      Array.init (generator_rank g) (fun d ->
-          g.lower.(d) + ((g.counts.(d) - 1) * g.step.(d)))
-    in
-    if not (Shape.mem shape g.lower && Shape.mem shape top) then
-      invalid_arg
-        (Printf.sprintf
-           "With_loop: generator %s..%s escapes shape %s"
-           (Shape.to_string g.lower) (Shape.to_string g.upper)
-           (Shape.to_string shape))
-  end
+      (Printf.sprintf "With_loop: generator rank %d against shape %s" g.rank
+         (Shape.to_string shape));
+  (* The extreme points bound the whole rectangle; a generator without
+     points escapes nothing. *)
+  let escapes = ref false and empty = ref false in
+  for d = 0 to g.rank - 1 do
+    if count g d = 0 then empty := true
+    else if lower g d < 0 || limit g d - step g d >= shape.(d) then
+      escapes := true
+  done;
+  if !escapes && not !empty then
+    invalid_arg
+      (Printf.sprintf "With_loop: generator %s..%s escapes shape %s"
+         (Shape.to_string (Array.init g.rank (lower g)))
+         (Shape.to_string (Array.init g.rank (limit g)))
+         (Shape.to_string shape))
 
 (* Sequential cutoff: ranges smaller than this are not worth forking. *)
 let parallel_cutoff = 512
 
 (* ------------------------------------------------------------------ *)
-(* Chunk executors.
+(* The stride odometer: the one executor behind every with-loop form.
 
-   Each executor evaluates the generator points [klo, khi) of the
-   row-major point grid using ONE scratch index vector for the whole
-   chunk — the body sees the vector only for the duration of its call
-   (the .mli documents this). The dense fast path (all steps = 1)
-   additionally walks the destination buffer by flat offset: along the
-   last axis consecutive grid points are consecutive row-major cells,
-   so one [ravel] per visited row replaces a [ravel]+[unravel] (two
-   array allocations) per element. *)
+   [walk ?shape g klo khi f init] folds [f] over the grid points
+   [klo, khi) of [g] in row-major order: [f idx off acc]. [idx] is the
+   point's coordinates in ONE scratch vector for the whole call — the
+   body sees it only for the duration of its call (the .mli documents
+   this). [off] is the point's row-major offset in [shape] (without
+   [~shape], in the box of extents [limit g d], which a fold ignores).
 
-let is_dense g = Array.for_all (fun s -> s = 1) g.step
-
-(* Write the coordinates of grid point [k] into the scratch [idx]. *)
-let point_into g k idx =
-  Shape.unravel_into g.counts k idx;
-  for d = 0 to Array.length idx - 1 do
-    idx.(d) <- g.lower.(d) + (idx.(d) * g.step.(d))
-  done
-
-let run_chunk_general ~shape data g body klo khi =
-  let idx = Array.make (generator_rank g) 0 in
-  for k = klo to khi - 1 do
-    point_into g k idx;
-    data.(Shape.ravel shape idx) <- body idx
-  done
-
-let run_chunk_dense ~shape data g body klo khi =
-  let r = generator_rank g in
-  if r = 0 then begin
-    if klo < khi then data.(0) <- body [||]
-  end
-  else begin
-    let m = g.counts.(r - 1) in
-    let last_lo = g.lower.(r - 1) in
-    let idx = Array.make r 0 in
-    let k = ref klo in
-    while !k < khi do
-      point_into g !k idx;
-      let off = ref (Shape.ravel shape idx) in
-      let j0 = !k mod m in
-      let len = min (m - j0) (khi - !k) in
-      for j = j0 to j0 + len - 1 do
-        idx.(r - 1) <- last_lo + j;
-        data.(!off) <- body idx;
-        incr off
-      done;
-      k := !k + len
-    done
-  end
-
-(* Iterate grid points [klo, khi) with a reused scratch vector; the
-   dense case advances the vector odometer-style instead of dividing
-   [k] back into coordinates for every point. *)
-let chunk_iter g klo khi f =
+   The innermost axis with more than one point runs as a tight loop
+   that adds one step to the coordinate and [step * stride] to the
+   offset; axes after it hold a single point and never move
+   (addNumber's row and column generators have a last-axis extent of
+   1). At the end of a run the axes before it advance odometer-style,
+   their strides accumulated on the way out. After the first point no
+   division, allocation or bounds walk happens per element, and the
+   accumulator is a local, so folding costs no write barrier. *)
+let walk ?shape g klo khi f init =
+  let extent d = match shape with Some s -> s.(d) | None -> limit g d in
+  let acc = ref init in
   if klo < khi then begin
-    let r = generator_rank g in
+    let r = g.rank in
     let idx = Array.make r 0 in
-    if is_dense g && r > 0 then begin
-      point_into g klo idx;
-      let last = r - 1 in
-      let lo_last = g.lower.(last) in
-      let hi_last = lo_last + g.counts.(last) in
-      for _k = klo to khi - 1 do
-        f idx;
-        let v = idx.(last) + 1 in
-        if v < hi_last then idx.(last) <- v
-        else begin
-          idx.(last) <- lo_last;
-          let d = ref (last - 1) in
-          let carry = ref true in
-          while !carry && !d >= 0 do
-            let v = idx.(!d) + 1 in
-            if v < g.lower.(!d) + g.counts.(!d) then begin
-              idx.(!d) <- v;
-              carry := false
+    (* The innermost axis that moves; 0 when none does. *)
+    let a = ref (r - 1) in
+    while !a > 0 && count g !a = 1 do
+      decr a
+    done;
+    let a = !a in
+    (* Unravel [klo]: [q] is the grid position along axis [a], and
+       [stride_a] that axis's row-major stride. *)
+    let q = ref 0 and stride_a = ref 1 in
+    let off = ref 0 and stride = ref 1 and k = ref klo in
+    for d = r - 1 downto 0 do
+      let n = count g d in
+      let p = !k mod n in
+      idx.(d) <- lower g d + (p * step g d);
+      off := !off + (idx.(d) * !stride);
+      if d = a then begin
+        q := p;
+        stride_a := !stride
+      end;
+      stride := !stride * extent d;
+      k := !k / n
+    done;
+    if r = 0 then acc := f idx 0 !acc
+    else begin
+      let n = count g a and st = step g a in
+      let dl = st * !stride_a in
+      let k = ref klo in
+      while !k < khi do
+        let run = if n - !q < khi - !k then n - !q else khi - !k in
+        for _ = 1 to run do
+          acc := f idx !off !acc;
+          idx.(a) <- idx.(a) + st;
+          off := !off + dl
+        done;
+        k := !k + run;
+        q := !q + run;
+        if !q = n then begin
+          idx.(a) <- lower g a;
+          off := !off - (n * dl);
+          q := 0;
+          let d = ref (a - 1) and stride = ref (!stride_a * extent a) in
+          while !d >= 0 do
+            let b = !d in
+            let db = step g b * !stride in
+            let v = idx.(b) + step g b in
+            if v < limit g b then begin
+              idx.(b) <- v;
+              off := !off + db;
+              d := -1
             end
             else begin
-              idx.(!d) <- g.lower.(!d);
-              decr d
+              idx.(b) <- lower g b;
+              off := !off - ((count g b - 1) * db);
+              stride := !stride * extent b;
+              d := b - 1
             end
           done
         end
       done
     end
-    else
-      for k = klo to khi - 1 do
-        point_into g k idx;
-        f idx
-      done
-  end
+  end;
+  !acc
 
 let use_pool pool n =
   match pool with
@@ -192,51 +196,27 @@ let use_pool pool n =
       Some pool
   | _ -> None
 
+(* Evaluate grid points [from, size g) of [g] into [data], laid out
+   row-major in [shape]. *)
+let fill ?pool ~shape data g body from =
+  let write idx off () = data.(off) <- body idx in
+  let chunk lo hi = walk ~shape g lo hi write () in
+  let n = generator_size g in
+  match use_pool pool n with
+  | Some pool ->
+      Scheduler.Pool.parallel_for_range pool ~lo:from ~hi:n (fun ~lo ~hi ->
+          chunk lo hi)
+  | None -> chunk from n
+
 let run_part ?pool ~shape data (g, body) =
   check_generator ~shape g;
-  let n = generator_size g in
-  if n > 0 then begin
-    let chunk =
-      if is_dense g then run_chunk_dense ~shape data g body
-      else run_chunk_general ~shape data g body
-    in
-    match use_pool pool n with
-    | Some pool ->
-        Scheduler.Pool.parallel_for_range pool ~lo:0 ~hi:n
-          (fun ~lo ~hi -> chunk lo hi)
-    | None -> chunk 0 n
-  end
+  fill ?pool ~shape data g body 0
 
 let genarray ?pool ~shape ~default parts =
   Shape.validate shape;
   let data = Array.make (Shape.size shape) default in
   List.iter (run_part ?pool ~shape data) parts;
   Nd.unsafe_of_array (Array.copy shape) data
-
-(* Full dense cover from the origin: grid point [k] IS flat offset [k],
-   so no ravel at all — just an odometer-advanced index vector. *)
-let init_chunk ~shape data body klo khi =
-  if klo < khi then begin
-    let r = Shape.rank shape in
-    let idx = Array.make r 0 in
-    Shape.unravel_into shape klo idx;
-    for k = klo to khi - 1 do
-      data.(k) <- body idx;
-      let d = ref (r - 1) in
-      let carry = ref true in
-      while !carry && !d >= 0 do
-        let v = idx.(!d) + 1 in
-        if v < shape.(!d) then begin
-          idx.(!d) <- v;
-          carry := false
-        end
-        else begin
-          idx.(!d) <- 0;
-          decr d
-        end
-      done
-    done
-  end
 
 let genarray_init ?pool ~shape body =
   Shape.validate shape;
@@ -245,13 +225,10 @@ let genarray_init ?pool ~shape body =
   else begin
     (* Seed the buffer with the first element's value, then fill the
        rest; every index is evaluated exactly once. *)
-    let first = body (Array.make (Shape.rank shape) 0) in
+    let origin = Array.make (Shape.rank shape) 0 in
+    let first = body origin in
     let data = Array.make n first in
-    (match use_pool pool n with
-    | Some pool ->
-        Scheduler.Pool.parallel_for_range pool ~lo:1 ~hi:n
-          (fun ~lo ~hi -> init_chunk ~shape data body lo hi)
-    | None -> init_chunk ~shape data body 1 n);
+    if n > 1 then fill ?pool ~shape data (range origin shape) body 1;
     Nd.unsafe_of_array (Array.copy shape) data
   end
 
@@ -266,17 +243,14 @@ let fold ?pool ~neutral ~combine parts =
     let n = generator_size g in
     if n = 0 then acc
     else
+      let chunk init lo hi =
+        walk g lo hi (fun idx _ a -> combine a (body idx)) init
+      in
       match use_pool pool n with
       | Some pool ->
           combine acc
             (Scheduler.Pool.parallel_for_reduce_range pool ~lo:0 ~hi:n
-               ~combine ~init:neutral (fun ~lo ~hi ->
-                 let a = ref neutral in
-                 chunk_iter g lo hi (fun idx -> a := combine !a (body idx));
-                 !a))
-      | None ->
-          let a = ref acc in
-          chunk_iter g 0 n (fun idx -> a := combine !a (body idx));
-          !a
+               ~combine ~init:neutral (fun ~lo ~hi -> chunk neutral lo hi))
+      | None -> chunk acc 0 n
   in
   List.fold_left fold_part neutral parts

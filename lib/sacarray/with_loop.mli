@@ -17,10 +17,11 @@
     Bodies must be pure: they may run in any order and concurrently.
     The index vector passed to a body is a scratch buffer reused across
     the calls of one execution chunk — it is valid only for the
-    duration of the call, and a body that wants to retain it must copy
-    it. (Dense unit-step generators additionally run on a fast path
-    that walks the result buffer by flat offset; both paths produce
-    identical arrays.) *)
+    duration of the call, a body must not modify it, and a body that
+    wants to retain it must copy it. (Every form runs on one stride
+    odometer that advances the index vector and the result buffer's
+    flat offset together, for unit-step and strided generators
+    alike.) *)
 
 type generator
 (** A rectangular index set [lower <= iv < upper], optionally strided. *)

@@ -41,7 +41,27 @@ let of_rows rows =
     b;
   b
 
-let get b i j = Nd.get b [| i; j |]
+let opts_side ?board opts =
+  let shp = Nd.shape opts in
+  let s =
+    match board with
+    | Some b -> side b
+    | None -> if Array.length shp = 3 then shp.(0) else -1
+  in
+  if not (Sacarray.Shape.equal shp [| s; s; s |]) then
+    invalid_arg
+      (Printf.sprintf "Board: options of shape %s, not [s,s,s]%s"
+         (Sacarray.Shape.to_string shp)
+         (if Option.is_none board then ""
+          else Printf.sprintf " for a board of side %d" s));
+  s
+
+let get b i j =
+  let s = side b in
+  if i < 0 || i >= s || j < 0 || j >= s then
+    invalid_arg (Printf.sprintf "Board.get: position %d,%d" i j);
+  (Nd.unsafe_data b).((i * s) + j)
+
 let set b i j v = Nd.set b [| i; j |] v
 
 let cells b =
@@ -50,44 +70,35 @@ let cells b =
   List.rev !out
 
 let filled b = List.filter (fun (_, _, v) -> v <> 0) (cells b)
-let count_filled b = List.length (filled b)
+let count_filled b =
+  ignore (side b);
+  let data = Nd.unsafe_data b in
+  let n = ref 0 in
+  for cell = 0 to Array.length data - 1 do
+    if data.(cell) <> 0 then incr n
+  done;
+  !n
 
 let equal a b = Nd.equal Int.equal a b
 
 let parse s =
-  let compact = String.concat "" (String.split_on_char '\n' s) in
+  (* The compact 9x9 form: exactly 81 cell characters, anything else
+     whitespace (a trailing newline, or one line per row). *)
+  let is_cell c = (c >= '0' && c <= '9') || c = '.' || c = '_' in
   let is_compact_9x9 =
-    String.length (String.trim compact) >= 81
-    && String.for_all
-         (fun c ->
-           (c >= '0' && c <= '9')
-           || c = '.' || c = '_' || c = ' ' || c = '\t' || c = '\r')
-         s
-    &&
-    let cellish =
-      String.to_seq s
-      |> Seq.filter (fun c -> (c >= '0' && c <= '9') || c = '.' || c = '_')
-      |> Seq.length
-    in
-    cellish = 81
+    String.for_all
+      (fun c -> is_cell c || c = ' ' || c = '\t' || c = '\r' || c = '\n')
+      s
+    && Seq.length (Seq.filter is_cell (String.to_seq s)) = 81
   in
   if is_compact_9x9 then begin
     let digits =
-      String.to_seq s
-      |> Seq.filter_map (fun c ->
-             if c >= '0' && c <= '9' then Some (Char.code c - Char.code '0')
-             else if c = '.' || c = '_' then Some 0
-             else None)
-      |> List.of_seq
+      String.to_seq s |> Seq.filter is_cell
+      |> Seq.map (fun c ->
+             if c >= '0' && c <= '9' then Char.code c - Char.code '0' else 0)
+      |> Array.of_seq
     in
-    let rec rows = function
-      | [] -> []
-      | ds ->
-          let row = List.filteri (fun i _ -> i < 9) ds in
-          let rest = List.filteri (fun i _ -> i >= 9) ds in
-          row :: rows rest
-    in
-    of_rows (rows digits)
+    of_rows (List.init 9 (fun i -> List.init 9 (fun j -> digits.((i * 9) + j))))
   end
   else begin
     let lines =

@@ -27,14 +27,25 @@ val of_rows : int list list -> t
 
 val parse : string -> t
 (** Accepts the common 81-character line format for 9×9 boards (digits
-    with [.], [0] or [_] for empty, whitespace ignored) and a general
+    with [.], [0] or [_] for empty, whitespace and newlines ignored, so
+    nine lines of nine cells also qualify) and a general
     whitespace-separated number grid for any size.
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
 (** Pretty grid with box separators. *)
 
+val opts_side : ?board:t -> opts -> int
+(** [opts_side opts] is [s] when [opts] has shape [[s; s; s]]; with
+    [~board], the board must also have side [s]. The kernels check
+    shapes with it once per call, then read by flat offset: cell
+    [(i, j)] is board offset [i * s + j], and its options are the [s]
+    consecutive options offsets from [(i * s + j) * s].
+    @raise Invalid_argument otherwise. *)
+
 val get : t -> int -> int -> int
+(** @raise Invalid_argument if the position is off the board. *)
+
 val set : t -> int -> int -> int -> t
 (** Functional update. *)
 

@@ -2,30 +2,37 @@ type choice =
   | Find_first
   | Min_trues
 
+module Nd = Sacarray.Nd
+
+(* Both searches scan by flat offset (the layout is in Board.opts_side). *)
 let find_first board =
   let s = Board.side board in
-  let rec go i j =
-    if i >= s then None
-    else if j >= s then go (i + 1) 0
-    else if Board.get board i j = 0 then Some (i, j)
-    else go i (j + 1)
+  let b = Nd.unsafe_data board in
+  let rec go cell =
+    if cell >= s * s then None
+    else if b.(cell) = 0 then Some (cell / s, cell mod s)
+    else go (cell + 1)
   in
-  go 0 0
+  go 0
 
 let find_min_trues board opts =
-  let s = Board.side board in
-  let best = ref None in
-  for i = 0 to s - 1 do
-    for j = 0 to s - 1 do
-      if Board.get board i j = 0 then begin
-        let c = Rules.count_options_at opts ~i ~j in
-        match !best with
-        | Some (_, _, bc) when bc <= c -> ()
-        | _ -> best := Some (i, j, c)
+  let s = Board.opts_side ~board opts in
+  let b = Nd.unsafe_data board and o = Nd.unsafe_data opts in
+  (* Strictly fewer options replaces the best: ties keep the first. *)
+  let best = ref (-1) and best_count = ref max_int in
+  for cell = 0 to (s * s) - 1 do
+    if b.(cell) = 0 then begin
+      let n = ref 0 in
+      for off = cell * s to ((cell + 1) * s) - 1 do
+        if o.(off) then incr n
+      done;
+      if !n < !best_count then begin
+        best := cell;
+        best_count := !n
       end
-    done
+    end
   done;
-  Option.map (fun (i, j, _) -> (i, j)) !best
+  if !best < 0 then None else Some (!best / s, !best mod s)
 
 let pick = function
   | Find_first -> fun board _opts -> find_first board

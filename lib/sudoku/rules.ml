@@ -16,7 +16,7 @@ let all_options side = Nd.create [| side; side; side |] true
      } : modarray( opts);
 *)
 let add_number ?pool ~i ~j ~k board opts =
-  let s = Board.side board in
+  let s = Board.opts_side ~board opts in
   let n = Board.box_size board in
   if i < 0 || i >= s || j < 0 || j >= s then
     invalid_arg (Printf.sprintf "Rules.add_number: position %d,%d" i j);
@@ -46,34 +46,51 @@ let init_options ?pool board =
       opts)
     (all_options s) (Board.filled board)
 
-let options_at opts ~i ~j =
-  let s = (Sacarray.Nd.shape opts).(0) in
-  List.filter_map
-    (fun k -> if Nd.get opts [| i; j; k |] then Some (k + 1) else None)
-    (List.init s Fun.id)
+(* The kernels below check shapes once per call, then read board and
+   options by flat offset (the layout is in Board.opts_side). *)
+let cell_options name opts ~i ~j =
+  let s = Board.opts_side opts in
+  if i < 0 || i >= s || j < 0 || j >= s then
+    invalid_arg (Printf.sprintf "Rules.%s: position %d,%d" name i j);
+  (s, ((i * s) + j) * s)
 
-let count_options_at opts ~i ~j = List.length (options_at opts ~i ~j)
+let options_at opts ~i ~j =
+  let s, base = cell_options "options_at" opts ~i ~j in
+  let o = Nd.unsafe_data opts in
+  List.filter (fun k -> o.(base + k - 1)) (List.init s (fun k -> k + 1))
+
+let count_options_at opts ~i ~j =
+  let s, base = cell_options "count_options_at" opts ~i ~j in
+  let o = Nd.unsafe_data opts in
+  let n = ref 0 in
+  for off = base to base + s - 1 do
+    if o.(off) then incr n
+  done;
+  !n
 
 let is_completed ?pool board =
   let s = Board.side board in
+  let b = Nd.unsafe_data board in
   With_loop.fold ?pool ~neutral:true ~combine:( && )
     [
       ( With_loop.range [| 0; 0 |] [| s; s |],
-        fun iv -> Nd.get board iv <> 0 );
+        fun iv -> b.((iv.(0) * s) + iv.(1)) <> 0 );
     ]
 
 let is_stuck ?pool board opts =
-  let s = Board.side board in
+  let s = Board.opts_side ~board opts in
+  let b = Nd.unsafe_data board and o = Nd.unsafe_data opts in
   With_loop.fold ?pool ~neutral:false ~combine:( || )
     [
       ( With_loop.range [| 0; 0 |] [| s; s |],
         fun iv ->
-          Nd.get board iv = 0
+          let cell = (iv.(0) * s) + iv.(1) in
+          b.(cell) = 0
           &&
-          let i = iv.(0) and j = iv.(1) in
-          let any_option = ref false in
-          for k = 0 to s - 1 do
-            if Nd.get opts [| i; j; k |] then any_option := true
+          (* Empty with no option left: stop at the first true one. *)
+          let off = ref (cell * s) and stop = (cell + 1) * s in
+          while !off < stop && not o.(!off) do
+            incr off
           done;
-          not !any_option );
+          !off = stop );
     ]

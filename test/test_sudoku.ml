@@ -24,12 +24,42 @@ let test_board_parse_9x9 () =
   Alcotest.(check bool) "valid" true (Board.valid b);
   (* Dots and underscores also mean empty. *)
   let b2 = Board.parse (String.concat "" (List.init 81 (fun _ -> "."))) in
-  Alcotest.(check int) "all empty" 0 (Board.count_filled b2)
+  Alcotest.(check int) "all empty" 0 (Board.count_filled b2);
+  (* Newlines are whitespace: a one-line puzzle read from a file, and
+     the nine-line compact layout. *)
+  let line =
+    String.concat ""
+      (List.map (fun (_, _, v) -> string_of_int v) (Board.cells b))
+  in
+  Alcotest.(check bool) "one line plus newline" true
+    (Board.equal b (Board.parse (line ^ "\n")));
+  let nine_lines =
+    String.concat "\n" (List.init 9 (fun i -> String.sub line (i * 9) 9))
+  in
+  Alcotest.(check bool) "nine lines of nine" true
+    (Board.equal b (Board.parse (nine_lines ^ "\n")));
+  Alcotest.(check bool) "dotted nine lines" true
+    (Board.equal b
+       (Board.parse
+          (String.map (fun c -> if c = '0' then '.' else c) nine_lines)))
 
 let test_board_parse_grid () =
   let b = Board.parse "1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1" in
   Alcotest.(check int) "side 4" 4 (Board.side b);
   Alcotest.(check bool) "solved 4x4" true (Board.solved b);
+  (* A spaced 9x9 grid and a 16x16 grid with two-digit cells. *)
+  let grid_text b =
+    let s = Board.side b in
+    String.concat "\n"
+      (List.init s (fun i ->
+           String.concat " "
+             (List.init s (fun j -> string_of_int (Board.get b i j)))))
+  in
+  Alcotest.(check bool) "spaced 9x9 grid" true
+    (Board.equal Puzzles.easy (Board.parse (grid_text Puzzles.easy)));
+  let sixteen = Sudoku.Generate.solved_board 4 in
+  Alcotest.(check bool) "16x16 grid" true
+    (Board.equal sixteen (Board.parse (grid_text sixteen ^ "\n")));
   Alcotest.(check bool) "bad cell" true
     (try ignore (Board.parse "1 2\nx 1"); false with Invalid_argument _ -> true)
 
@@ -245,6 +275,186 @@ let test_data_parallel_rules () =
       Alcotest.(check bool) "solver agrees under parallel with-loops" true
         (Board.equal s1.Solver.board s2.Solver.board))
 
+(* ------------------------------------------------------------------ *)
+(* Differential test of the flat-offset kernels against a naive
+   reference written per index through Nd.get, straight from the
+   paper's definitions. The e2e oracles cannot catch a kernel bug:
+   fig2's reference runs Engine_seq on the same kernels. *)
+
+let ref_is_completed b =
+  let s = Board.side b in
+  let ok = ref true in
+  for i = 0 to s - 1 do
+    for j = 0 to s - 1 do
+      if Nd.get b [| i; j |] = 0 then ok := false
+    done
+  done;
+  !ok
+
+let ref_options o i j =
+  let s = (Nd.shape o).(0) in
+  List.filter (fun k -> Nd.get o [| i; j; k - 1 |]) (List.init s (fun k -> k + 1))
+
+let ref_count_options o i j = List.length (ref_options o i j)
+
+let ref_is_stuck b o =
+  let s = Board.side b in
+  let stuck = ref false in
+  for i = 0 to s - 1 do
+    for j = 0 to s - 1 do
+      if Nd.get b [| i; j |] = 0 && ref_count_options o i j = 0 then
+        stuck := true
+    done
+  done;
+  !stuck
+
+(* The first empty cell in row-major order with the fewest options. *)
+let ref_find_min_trues b o =
+  let s = Board.side b in
+  let best = ref None in
+  for i = 0 to s - 1 do
+    for j = 0 to s - 1 do
+      if Nd.get b [| i; j |] = 0 then
+        let c = ref_count_options o i j in
+        match !best with
+        | Some (_, _, bc) when bc <= c -> ()
+        | _ -> best := Some (i, j, c)
+    done
+  done;
+  Option.map (fun (i, j, _) -> (i, j)) !best
+
+let ref_count_filled b =
+  let s = Board.side b in
+  let n = ref 0 in
+  for i = 0 to s - 1 do
+    for j = 0 to s - 1 do
+      if Nd.get b [| i; j |] <> 0 then incr n
+    done
+  done;
+  !n
+
+(* addNumber: k at (i, j) removes every option of the cell and option
+   k from its row, column and sub-board. *)
+let ref_add_number ~i ~j ~k b o =
+  let s = Board.side b and n = Board.box_size b in
+  let b' =
+    Nd.init [| s; s |] (fun iv ->
+        if iv.(0) = i && iv.(1) = j then k else Nd.get b iv)
+  in
+  let o' =
+    Nd.init [| s; s; s |] (fun iv ->
+        let i', j', k' = (iv.(0), iv.(1), iv.(2)) in
+        let same_box = i' / n = i / n && j' / n = j / n in
+        let eliminated =
+          (i' = i && j' = j) || (k' = k - 1 && (i' = i || j' = j || same_box))
+        in
+        (not eliminated) && Nd.get o iv)
+  in
+  (b', o')
+
+(* A reachable state: a generated puzzle, its options, then a random
+   sequence of legal placements (a still-possible number at an empty
+   cell), checking every kernel against the reference at each state,
+   sequentially and on a 2-domain pool. *)
+let prop_kernels_match_reference pool =
+  QCheck.Test.make ~name:"kernels match the per-index reference" ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_range 2 4) (int_range 0 10_000) (int_range 0 100)
+           (int_range 0 10_000)))
+    (fun (n, seed, hole_pct, walk_seed) ->
+      let s = n * n in
+      let holes = s * s * hole_pct / 100 in
+      let board = Sudoku.Generate.puzzle ~seed ~n ~holes () in
+      let opts = Rules.init_options board in
+      let ref_opts =
+        List.fold_left
+          (fun o (i, j, k) -> snd (ref_add_number ~i ~j ~k board o))
+          (Nd.create [| s; s; s |] true)
+          (Board.filled board)
+      in
+      let rng = Random.State.make [| walk_seed |] in
+      let agree pool b o =
+        Rules.is_stuck ?pool b o = ref_is_stuck b o
+        && Rules.is_completed ?pool b = ref_is_completed b
+        && H.find_min_trues b o = ref_find_min_trues b o
+        && Board.count_filled b = ref_count_filled b
+        && List.for_all
+             (fun c ->
+               let i = c / s and j = c mod s in
+               Rules.count_options_at o ~i ~j = ref_count_options o i j
+               && Rules.options_at o ~i ~j = ref_options o i j)
+             (List.init (s * s) Fun.id)
+      in
+      let rec go steps b o =
+        agree None b o && agree (Some pool) b o
+        &&
+        let moves =
+          List.concat_map
+            (fun c ->
+              let i = c / s and j = c mod s in
+              if Nd.get b [| i; j |] <> 0 then []
+              else List.map (fun k -> (i, j, k)) (ref_options o i j))
+            (List.init (s * s) Fun.id)
+        in
+        steps = 0 || moves = []
+        ||
+        let i, j, k =
+          List.nth moves (Random.State.int rng (List.length moves))
+        in
+        let rb, ro = ref_add_number ~i ~j ~k b o in
+        let b1, o1 = Rules.add_number ~i ~j ~k b o in
+        let b2, o2 = Rules.add_number ~pool ~i ~j ~k b o in
+        Board.equal b1 rb && Board.equal b2 rb
+        && Nd.equal Bool.equal o1 ro && Nd.equal Bool.equal o2 ro
+        && go (steps - 1) b1 o1
+      in
+      Nd.equal Bool.equal opts ref_opts && go 12 board opts)
+
+let test_kernels_differential () =
+  let pool = Scheduler.Pool.create ~num_domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.Pool.shutdown pool)
+    (fun () ->
+      QCheck.Test.check_exn
+        ~rand:(Seeded.state ())
+        (prop_kernels_match_reference pool))
+
+let raises f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+(* The shape check made once per call, and the coordinate checks. *)
+let test_kernel_contracts () =
+  let board = Board.empty 3 and opts = Rules.all_options 9 in
+  let wrong = Nd.create [| 9; 9; 8 |] true in
+  let short = Rules.all_options 4 in
+  List.iter
+    (fun (name, f) -> Alcotest.(check bool) name true (raises f))
+    [
+      ("is_stuck: wrong shape", fun () -> ignore (Rules.is_stuck board wrong));
+      ("is_stuck: other side", fun () -> ignore (Rules.is_stuck board short));
+      ( "find_min_trues: wrong shape",
+        fun () -> ignore (H.find_min_trues board wrong) );
+      ( "add_number: wrong shape",
+        fun () -> ignore (Rules.add_number ~i:0 ~j:0 ~k:1 board wrong) );
+      ( "count_options_at: wrong shape",
+        fun () -> ignore (Rules.count_options_at wrong ~i:0 ~j:0) );
+      ( "count_options_at: row 9",
+        fun () -> ignore (Rules.count_options_at opts ~i:9 ~j:0) );
+      ( "count_options_at: column -1",
+        fun () -> ignore (Rules.count_options_at opts ~i:0 ~j:(-1)) );
+      ("options_at: row 9", fun () -> ignore (Rules.options_at opts ~i:9 ~j:0));
+      ("Board.get: row 9", fun () -> ignore (Board.get board 9 0));
+      ("Board.get: column -1", fun () -> ignore (Board.get board 0 (-1)));
+      ( "is_completed: not square",
+        fun () -> ignore (Rules.is_completed (Nd.create [| 9; 8 |] 0)) );
+      ( "count_filled: not square",
+        fun () -> ignore (Board.count_filled (Nd.create [| 9; 8 |] 0)) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "board basics" `Quick test_board_basics;
@@ -265,4 +475,6 @@ let suite =
     Alcotest.test_case "already solved input" `Quick test_solver_already_solved;
     Alcotest.test_case "generator" `Quick test_generate;
     Alcotest.test_case "data-parallel rules agree" `Quick test_data_parallel_rules;
+    Alcotest.test_case "kernels match reference" `Quick test_kernels_differential;
+    Alcotest.test_case "kernel shape checks" `Quick test_kernel_contracts;
   ]

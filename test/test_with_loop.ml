@@ -179,55 +179,90 @@ let test_genarray_init_large () =
     ~finally:(fun () -> Scheduler.Pool.shutdown pool)
     (fun () -> check_nd "par" (Nd.init shape f) (WL.genarray_init ~pool ~shape f))
 
-(* Reference semantics: paint the default array by iterating each
-   generator in order with generator_iter (later generators win).
-   Compares against the real executors, which pick the dense fast path
-   or the strided general path per part. *)
-let reference_genarray ~shape ~default parts =
-  let a = ref (Nd.create shape default) in
-  List.iter
-    (fun (g, body) ->
-      WL.generator_iter g (fun iv -> a := Nd.set !a iv (body iv)))
-    parts;
-  !a
+(* Reference semantics, independent of the executors: visit every
+   index of the shape in row-major order and let each generator that
+   contains it (generator_mem) overwrite it, later generators winning.
+   Fold's reference sums each part's member values the same way. *)
+let reference_paint init parts =
+  let shape = Nd.shape init in
+  List.fold_left
+    (fun a (g, body) ->
+      let a = ref a in
+      Sacarray.Shape.iter shape (fun iv ->
+          if WL.generator_mem g iv then a := Nd.set !a iv (body iv));
+      !a)
+    init parts
 
-let prop_fast_slow_agree =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 3 >>= fun rank ->
-      array_repeat rank (int_range 1 8) >>= fun shape ->
-      let gen_part =
-        (* Random sub-box with random (possibly unit) steps. *)
-        let dim i =
-          int_range 0 (shape.(i) - 1) >>= fun lo ->
-          int_range (lo + 1) shape.(i) >>= fun hi ->
-          int_range 1 3 >|= fun st -> (lo, hi, st)
-        in
-        (fun n -> List.init n dim) rank |> flatten_l >>= fun dims ->
-        int_range 0 999 >|= fun salt ->
-        let lower = Array.of_list (List.map (fun (l, _, _) -> l) dims) in
-        let upper = Array.of_list (List.map (fun (_, h, _) -> h) dims) in
-        let step = Array.of_list (List.map (fun (_, _, s) -> s) dims) in
-        (WL.range ~step lower upper, salt)
+let reference_fold shape parts =
+  List.fold_left
+    (fun acc (g, body) ->
+      let acc = ref acc in
+      Sacarray.Shape.iter shape (fun iv ->
+          if WL.generator_mem g iv then acc := !acc + body iv);
+      !acc)
+    0 parts
+
+(* A body whose value depends on the salt and every coordinate. *)
+let salted salt iv = Array.fold_left (fun acc i -> (acc * 13) + i) salt iv
+
+(* Random rank-0..4 shapes with 1..3 random sub-box parts, each with
+   random (possibly unit) steps. A third of the parts have a last-axis
+   extent of 1, the shape of addNumber's row and column generators;
+   some parts are empty. *)
+let gen_shape_parts =
+  QCheck.Gen.(
+    int_range 0 4 >>= fun rank ->
+    array_repeat rank (int_range 1 6) >>= fun shape ->
+    let gen_part =
+      let dim ~flat i =
+        int_range 0 (shape.(i) - 1) >>= fun lo ->
+        (if flat then return (lo + 1) else int_range lo shape.(i))
+        >>= fun hi ->
+        int_range 1 3 >|= fun st -> (lo, hi, st)
       in
-      int_range 1 3 >>= fun nparts ->
-      list_repeat nparts gen_part >|= fun parts -> (shape, parts))
-  in
-  QCheck.Test.make
-    ~name:"genarray fast/general paths match generator_iter reference"
-    ~count:100 (QCheck.make gen)
-    (fun (shape, parts) ->
+      int_range 0 2 >>= fun flat ->
+      flatten_l
+        (List.init rank (fun i -> dim ~flat:(flat = 0 && i = rank - 1) i))
+      >>= fun dims ->
+      int_range 0 999 >|= fun salt ->
+      let lower = Array.of_list (List.map (fun (l, _, _) -> l) dims) in
+      let upper = Array.of_list (List.map (fun (_, h, _) -> h) dims) in
+      let step = Array.of_list (List.map (fun (_, _, s) -> s) dims) in
+      (WL.range ~step lower upper, salted salt)
+    in
+    int_range 1 3 >>= fun nparts ->
+    list_repeat nparts gen_part >|= fun parts -> (shape, parts))
+
+let forms_agree ?pool (shape, parts) =
+  let src = Nd.init shape (fun iv -> Array.fold_left ( - ) 7 iv) in
+  Nd.equal Int.equal
+    (WL.genarray ?pool ~shape ~default:(-1) parts)
+    (reference_paint (Nd.create shape (-1)) parts)
+  && Nd.equal Int.equal (WL.modarray ?pool src parts) (reference_paint src parts)
+  && WL.fold ?pool ~neutral:0 ~combine:( + ) parts = reference_fold shape parts
+
+let prop_forms_agree =
+  QCheck.Test.make ~name:"forms match a per-index reference" ~count:100
+    (QCheck.make gen_shape_parts) (fun case -> forms_agree case)
+
+(* Above the 512-point parallel cutoff on a 2-domain pool (the dense
+   and strided parts have 1680 and 840 points): the odometer starts
+   each chunk mid-grid, with carries into every axis. *)
+let test_forms_agree_parallel () =
+  let pool = Scheduler.Pool.create ~num_domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.Pool.shutdown pool)
+    (fun () ->
+      let shape = [| 5; 6; 7; 8 |] in
       let parts =
-        List.map
-          (fun (g, salt) ->
-            ( g,
-              fun iv ->
-                Array.fold_left (fun acc i -> (acc * 13) + i) salt iv ))
-          parts
+        [
+          (WL.range [| 0; 0; 0; 0 |] shape, salted 1);
+          (WL.range_incl [| 1; 0; 2; 3 |] [| 4; 5; 2; 3 |], salted 2);
+          (WL.range ~step:[| 1; 1; 1; 2 |] [| 0; 0; 0; 1 |] shape, salted 3);
+        ]
       in
-      Nd.equal Int.equal
-        (WL.genarray ~shape ~default:(-1) parts)
-        (reference_genarray ~shape ~default:(-1) parts))
+      Alcotest.(check bool) "pool agrees with the reference" true
+        (forms_agree ~pool (shape, parts)))
 
 let prop_genarray_matches_init =
   QCheck.Test.make ~name:"genarray with full generator = Nd.init" ~count:50
@@ -279,7 +314,9 @@ let suite =
     Alcotest.test_case "parallel agreement" `Quick test_parallel_agreement;
     Alcotest.test_case "rank-0 arrays" `Quick test_rank0;
     Alcotest.test_case "genarray_init above cutoff" `Quick test_genarray_init_large;
+    Alcotest.test_case "every form above cutoff on a pool" `Quick
+      test_forms_agree_parallel;
     Seeded.to_alcotest prop_genarray_matches_init;
     Seeded.to_alcotest prop_later_generator_wins;
-    Seeded.to_alcotest prop_fast_slow_agree;
+    Seeded.to_alcotest prop_forms_agree;
   ]
