@@ -37,13 +37,16 @@ let ravel shp idx =
   done;
   !off
 
-let unravel shp off =
-  let buf = Array.make (Array.length shp) 0 in
+let unravel_into shp off buf =
   let o = ref off in
   for d = Array.length shp - 1 downto 0 do
     buf.(d) <- !o mod shp.(d);
     o := !o / shp.(d)
-  done;
+  done
+
+let unravel shp off =
+  let buf = Array.make (Array.length shp) 0 in
+  unravel_into shp off buf;
   buf
 
 let mem shp idx =

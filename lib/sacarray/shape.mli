@@ -34,6 +34,10 @@ val ravel : t -> int array -> int
 val unravel : t -> int -> int array
 (** Inverse of {!ravel}: the index vector for a linear offset. *)
 
+val unravel_into : t -> int -> int array -> unit
+(** Allocation-free {!unravel} into a caller-provided buffer of length
+    [rank shp]. *)
+
 val mem : t -> int array -> bool
 (** [mem shp idx] is true when [idx] has rank [rank shp] and each
     component [c] satisfies [0 <= c < extent]. *)

@@ -39,6 +39,11 @@ let test_unravel_roundtrip () =
   done;
   Alcotest.(check (array int)) "last offset" [| 1; 2; 3 |] (Shape.unravel shp 23)
 
+let test_unravel_into () =
+  let buf = Array.make 3 0 in
+  Shape.unravel_into [| 2; 3; 4 |] 23 buf;
+  Alcotest.(check (array int)) "unravel_into" [| 1; 2; 3 |] buf
+
 let test_iter_order () =
   let seen = ref [] in
   Shape.iter [| 2; 2 |] (fun iv -> seen := Array.to_list iv :: !seen);
@@ -101,6 +106,7 @@ let suite =
     Alcotest.test_case "ravel examples" `Quick test_ravel_examples;
     Alcotest.test_case "ravel bounds" `Quick test_ravel_bounds;
     Alcotest.test_case "unravel roundtrip" `Quick test_unravel_roundtrip;
+    Alcotest.test_case "unravel_into" `Quick test_unravel_into;
     Alcotest.test_case "iter order" `Quick test_iter_order;
     Alcotest.test_case "mem" `Quick test_mem;
     Alcotest.test_case "concat/take/drop" `Quick test_concat_take_drop;
