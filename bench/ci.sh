@@ -24,17 +24,51 @@ echo "== in-process CLI solves =="
 # only through --workers). A second pair reads the easy puzzle with
 # --file, written the way a puzzle file usually is: one 81-character
 # line ending in a newline.
+# A 16x16 puzzle, written as a plain number grid (0 for empty), goes
+# through fig3 on both engines and once over two worker processes, so
+# 16-bit option masks cross the wire through the int-ndarray codec;
+# each of these runs must print a solution.
 puzzle_file="$(mktemp)"
-trap 'rm -f "$puzzle_file"' EXIT
+grid_file="$(mktemp)"
+trap 'rm -f "$puzzle_file" "$grid_file"' EXIT
 printf '%s\n' \
   530070000600195000098000060800060003400803001700020006060000280000419005000080079 \
   > "$puzzle_file"
+cat > "$grid_file" <<'EOF'
+4 15 0 10 0 12 5 6 13 9 2 1 16 7 3 11
+14 12 5 6 13 0 2 1 16 0 3 0 0 15 8 10
+0 9 2 1 16 0 3 11 4 0 8 10 0 12 5 6
+16 0 3 11 4 15 0 10 14 12 5 0 0 9 2 1
+15 8 0 0 12 5 0 13 9 2 1 16 7 0 11 4
+12 5 0 13 9 2 1 16 7 3 11 4 15 8 0 14
+0 0 1 0 7 3 11 0 0 8 10 14 12 5 6 0
+0 3 11 4 15 0 10 14 12 5 0 13 0 2 1 16
+0 0 14 12 0 0 13 9 2 0 16 7 3 11 4 15
+5 6 13 9 2 1 0 7 3 0 4 15 8 0 14 12
+2 1 0 7 3 11 4 0 8 0 14 12 0 6 13 9
+3 11 4 0 8 10 14 12 5 6 13 9 2 1 16 0
+10 14 12 5 6 13 9 2 1 0 7 0 11 0 0 8
+6 13 9 2 1 0 7 3 11 4 15 8 10 14 12 5
+1 16 0 3 11 0 0 8 10 0 12 5 6 13 9 2
+11 0 15 0 10 0 12 0 6 0 0 2 1 16 7 0
+EOF
+solves() {
+  out="$("$@")"
+  case "$out" in
+    *"solution:"*) ;;
+    *) echo "no solution from: $*" >&2; exit 1 ;;
+  esac
+}
 for engine in seq conc; do
   ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy \
     --engine "$engine" > /dev/null
   ./_build/default/bin/snet_sudoku.exe --network fig2 --file "$puzzle_file" \
     --engine "$engine" > /dev/null
+  solves ./_build/default/bin/snet_sudoku.exe --network fig3 \
+    --file "$grid_file" --engine "$engine"
 done
+solves ./_build/default/bin/snet_sudoku.exe --network fig3 --file "$grid_file" \
+  --workers 2
 
 echo "== fault-injection smoke =="
 dune build @fault-smoke

@@ -648,7 +648,10 @@ let exp_interpreted () =
     ];
   let prog = Saclang.Sac_sudoku.program () in
   let v_board = Saclang.Svalue.of_int_nd (Sudoku.Board.empty 3) in
-  let v_opts = Saclang.Svalue.of_bool_nd (Sudoku.Rules.all_options 9) in
+  let v_opts =
+    Saclang.Svalue.of_bool_nd
+      (Sudoku.Board.options_nd (Sudoku.Rules.all_options 9))
+  in
   bench "one addNumber call"
     [
       Test.make ~name:"addNumber/native"
@@ -1274,7 +1277,7 @@ let exp_dist () =
   let collect title tests = rows := !rows @ bench_collect title ~quota tests in
   Sudoku.Netspec.register_codecs ();
   (* The record that actually crosses fig2's cut edge: a board, its
-     options cube and the routing tag. *)
+     packed options and the routing tag. *)
   let board = board_of "medium" in
   let opts = Sudoku.Rules.init_options board in
   let r =

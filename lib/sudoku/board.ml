@@ -1,7 +1,7 @@
 module Nd = Sacarray.Nd
 
 type t = int Nd.t
-type opts = bool Nd.t
+type opts = int Nd.t
 
 let isqrt n =
   let r = int_of_float (sqrt (float_of_int n)) in
@@ -41,20 +41,41 @@ let of_rows rows =
     b;
   b
 
+(* Bits 0 .. max_opts_side - 1 of a 63-bit int: the sign bit stays
+   clear, so a mask is never negative. *)
+let max_opts_side = 62
+
 let opts_side ?board opts =
   let shp = Nd.shape opts in
   let s =
     match board with
     | Some b -> side b
-    | None -> if Array.length shp = 3 then shp.(0) else -1
+    | None -> if Array.length shp = 2 then shp.(0) else -1
   in
-  if not (Sacarray.Shape.equal shp [| s; s; s |]) then
+  if not (Sacarray.Shape.equal shp [| s; s |]) then
     invalid_arg
-      (Printf.sprintf "Board: options of shape %s, not [s,s,s]%s"
+      (Printf.sprintf "Board: options of shape %s, not [s,s]%s"
          (Sacarray.Shape.to_string shp)
          (if Option.is_none board then ""
           else Printf.sprintf " for a board of side %d" s));
+  if s > max_opts_side then
+    invalid_arg
+      (Printf.sprintf "Board: options of side %d, at most %d" s max_opts_side);
   s
+
+let count_options mask =
+  let m = ref mask and n = ref 0 in
+  while !m <> 0 do
+    m := !m land (!m - 1);
+    incr n
+  done;
+  !n
+
+let options_nd opts =
+  let s = opts_side opts in
+  let o = Nd.unsafe_data opts in
+  Nd.init [| s; s; s |] (fun iv ->
+      o.((iv.(0) * s) + iv.(1)) land (1 lsl iv.(2)) <> 0)
 
 let get b i j =
   let s = side b in

@@ -56,8 +56,7 @@ let one_level ?pool ~completed ~child board opts =
         let mem_board = board and mem_opts = opts in
         let continue_loop = ref true in
         for k = 1 to s do
-          if !continue_loop && Sacarray.Nd.get mem_opts [| i; j; k - 1 |]
-          then begin
+          if !continue_loop && Rules.possible mem_opts ~i ~j ~k then begin
             let board', opts' =
               Rules.add_number ?pool ~i ~j ~k mem_board mem_opts
             in

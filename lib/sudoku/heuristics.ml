@@ -22,13 +22,10 @@ let find_min_trues board opts =
   let best = ref (-1) and best_count = ref max_int in
   for cell = 0 to (s * s) - 1 do
     if b.(cell) = 0 then begin
-      let n = ref 0 in
-      for off = cell * s to ((cell + 1) * s) - 1 do
-        if o.(off) then incr n
-      done;
-      if !n < !best_count then begin
+      let n = Board.count_options o.(cell) in
+      if n < !best_count then begin
         best := cell;
-        best_count := !n
+        best_count := n
       end
     end
   done;

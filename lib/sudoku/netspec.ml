@@ -4,7 +4,7 @@ let register_codecs () =
   if not !registered then begin
     registered := true;
     Dist.Wire.register_nd_int Boxes.board_field;
-    Dist.Wire.register_nd_bool Boxes.opts_field
+    Dist.Wire.register_nd_int Boxes.opts_field
   end
 
 let spec ?(det = false) ?throttle ?cutoff ?side ?shards ?spin name =

@@ -1,18 +1,9 @@
-module Nd = Sacarray.Nd
-
 type outcome = {
   board : Board.t;
   opts : Board.opts;
   placed : int;
   contradiction : bool;
 }
-
-let cell_options opts s ~i ~j =
-  let out = ref [] in
-  for k = s - 1 downto 0 do
-    if Nd.get opts [| i; j; k |] then out := (k + 1) :: !out
-  done;
-  !out
 
 let naked_singles ?pool board opts =
   let s = Board.side board in
@@ -21,7 +12,7 @@ let naked_singles ?pool board opts =
   for i = 0 to s - 1 do
     for j = 0 to s - 1 do
       if Board.get !board i j = 0 then begin
-        match cell_options !opts s ~i ~j with
+        match Rules.options_at !opts ~i ~j with
         | [ k ] ->
             let b, o = Rules.add_number ?pool ~i ~j ~k !board !opts in
             board := b;
@@ -56,7 +47,7 @@ let hidden_singles ?pool board opts =
         let possible =
           List.filter
             (fun (i, j) ->
-              Board.get !board i j = 0 && Nd.get !opts [| i; j; k - 1 |])
+              Board.get !board i j = 0 && Rules.possible !opts ~i ~j ~k)
             cells
         in
         let already_placed =

@@ -33,7 +33,7 @@ let solve_from ?pool ?(choice = Heuristics.Min_trues) board opts =
           let mem_board = board and mem_opts = opts in
           let rec try_k k board opts =
             if k > s || Rules.is_completed ?pool board then (board, opts)
-            else if Sacarray.Nd.get mem_opts [| i; j; k - 1 |] then begin
+            else if Rules.possible mem_opts ~i ~j ~k then begin
               incr placements;
               let board', opts' =
                 Rules.add_number ?pool ~i ~j ~k mem_board mem_opts
@@ -72,7 +72,7 @@ let count_solutions ?pool ?(choice = Heuristics.Min_trues) ?(limit = 2) board =
       | None -> ()
       | Some (i, j) ->
           for k = 1 to s do
-            if !count < limit && Sacarray.Nd.get opts [| i; j; k - 1 |] then begin
+            if !count < limit && Rules.possible opts ~i ~j ~k then begin
               let board', opts' = Rules.add_number ?pool ~i ~j ~k board opts in
               go board' opts'
             end

@@ -27,7 +27,7 @@ let test_sac_predicates_match_native () =
   let board = Sudoku.Puzzles.easy in
   let opts = Sudoku.Rules.init_options board in
   let v_board = Saclang.Svalue.of_int_nd board in
-  let v_opts = Saclang.Svalue.of_bool_nd opts in
+  let v_opts = Saclang.Svalue.of_bool_nd (Sudoku.Board.options_nd opts) in
   (match Saclang.Sac_interp.call prog "isCompleted" [ v_board ] with
   | [ b ] ->
       Alcotest.(check bool) "isCompleted agrees" (Sudoku.Rules.is_completed board)
@@ -61,7 +61,8 @@ let test_compute_opts_box_agrees () =
       (match Saclang.Sac_box.value_of_field opts_field with
       | Saclang.Svalue.VBool opts ->
           Alcotest.(check bool) "options equal native init_options" true
-            (Nd.equal Bool.equal opts (Sudoku.Rules.init_options board))
+            (Nd.equal Bool.equal opts
+               (Sudoku.Board.options_nd (Sudoku.Rules.init_options board)))
       | _ -> Alcotest.fail "opts is not boolean")
   | _ -> Alcotest.fail "one record expected"
 

@@ -154,12 +154,25 @@ let test_is_completed_stuck () =
   let board = Board.empty 3 in
   let opts = Rules.all_options 9 in
   Alcotest.(check bool) "fresh board not stuck" false (Rules.is_stuck board opts);
-  (* Zero out all options of an empty cell: stuck. *)
+  (* Zero out the options mask of an empty cell: stuck. *)
   let dead =
     Sacarray.With_loop.modarray opts
-      [ (Sacarray.With_loop.range [| 0; 0; 0 |] [| 1; 1; 9 |], fun _ -> false) ]
+      [ (Sacarray.With_loop.range [| 0; 0 |] [| 1; 1 |], fun _ -> 0) ]
   in
-  Alcotest.(check bool) "stuck" true (Rules.is_stuck board dead)
+  Alcotest.(check bool) "stuck" true (Rules.is_stuck board dead);
+  (* On a 49x49 board, a cell whose one option is 49 (mask bit 48) is
+     not stuck, and it is the most constrained cell. *)
+  let board49 = Board.empty 7 in
+  let only49 =
+    Sacarray.With_loop.modarray (Rules.all_options 49)
+      [ (Sacarray.With_loop.range [| 3; 5 |] [| 4; 6 |], fun _ -> 1 lsl 48) ]
+  in
+  Alcotest.(check bool) "only option 49: not stuck" false
+    (Rules.is_stuck board49 only49);
+  Alcotest.(check (list int)) "only option 49" [ 49 ]
+    (Rules.options_at only49 ~i:3 ~j:5);
+  Alcotest.(check (option (pair int int))) "only option 49: fewest options"
+    (Some (3, 5)) (H.find_min_trues board49 only49)
 
 let test_heuristics () =
   let board = Board.set (Board.empty 3) 0 0 1 in
@@ -269,7 +282,7 @@ let test_data_parallel_rules () =
       let b1, o1 = Rules.add_number ~i:2 ~j:3 ~k:5 b0 o0 in
       let b2, o2 = Rules.add_number ~pool ~i:2 ~j:3 ~k:5 b0 o0 in
       Alcotest.(check bool) "boards agree" true (Board.equal b1 b2);
-      Alcotest.(check bool) "options agree" true (Nd.equal Bool.equal o1 o2);
+      Alcotest.(check bool) "options agree" true (Nd.equal Int.equal o1 o2);
       let s1 = Solver.solve Puzzles.easy in
       let s2 = Solver.solve ~pool Puzzles.easy in
       Alcotest.(check bool) "solver agrees under parallel with-loops" true
@@ -278,8 +291,10 @@ let test_data_parallel_rules () =
 (* ------------------------------------------------------------------ *)
 (* Differential test of the flat-offset kernels against a naive
    reference written per index through Nd.get, straight from the
-   paper's definitions. The e2e oracles cannot catch a kernel bug:
-   fig2's reference runs Engine_seq on the same kernels. *)
+   paper's definitions on its [s; s; s] boolean options cube; the
+   packed options are compared through Board.options_nd. The e2e
+   oracles cannot catch a kernel bug: fig2's reference runs Engine_seq
+   on the same kernels. *)
 
 let ref_is_completed b =
   let s = Board.side b in
@@ -356,60 +371,63 @@ let ref_add_number ~i ~j ~k b o =
    sequence of legal placements (a still-possible number at an empty
    cell), checking every kernel against the reference at each state,
    sequentially and on a 2-domain pool. *)
+let kernels_match_reference ?(steps = 12) pool (n, seed, hole_pct, walk_seed) =
+  let s = n * n in
+  let holes = s * s * hole_pct / 100 in
+  let board = Sudoku.Generate.puzzle ~seed ~n ~holes () in
+  let opts = Rules.init_options board in
+  let ref_opts =
+    List.fold_left
+      (fun o (i, j, k) -> snd (ref_add_number ~i ~j ~k board o))
+      (Nd.create [| s; s; s |] true)
+      (Board.filled board)
+  in
+  let rng = Random.State.make [| walk_seed |] in
+  (* [o] is packed, [oc] the same options as the reference's cube. *)
+  let agree pool b o oc =
+    Rules.is_stuck ?pool b o = ref_is_stuck b oc
+    && Rules.is_completed ?pool b = ref_is_completed b
+    && H.find_min_trues b o = ref_find_min_trues b oc
+    && Board.count_filled b = ref_count_filled b
+    && List.for_all
+         (fun c ->
+           let i = c / s and j = c mod s in
+           Rules.count_options_at o ~i ~j = ref_count_options oc i j
+           && Rules.options_at o ~i ~j = ref_options oc i j)
+         (List.init (s * s) Fun.id)
+  in
+  let rec go steps b o =
+    let oc = Board.options_nd o in
+    agree None b o oc && agree (Some pool) b o oc
+    &&
+    let moves =
+      List.concat_map
+        (fun c ->
+          let i = c / s and j = c mod s in
+          if Nd.get b [| i; j |] <> 0 then []
+          else List.map (fun k -> (i, j, k)) (ref_options oc i j))
+        (List.init (s * s) Fun.id)
+    in
+    steps = 0 || moves = []
+    ||
+    let i, j, k = List.nth moves (Random.State.int rng (List.length moves)) in
+    let rb, ro = ref_add_number ~i ~j ~k b oc in
+    let b1, o1 = Rules.add_number ~i ~j ~k b o in
+    let b2, o2 = Rules.add_number ~pool ~i ~j ~k b o in
+    Board.equal b1 rb && Board.equal b2 rb
+    && Nd.equal Bool.equal (Board.options_nd o1) ro
+    && Nd.equal Bool.equal (Board.options_nd o2) ro
+    && go (steps - 1) b1 o1
+  in
+  Nd.equal Bool.equal (Board.options_nd opts) ref_opts && go steps board opts
+
 let prop_kernels_match_reference pool =
   QCheck.Test.make ~name:"kernels match the per-index reference" ~count:40
     (QCheck.make
        QCheck.Gen.(
          quad (int_range 2 4) (int_range 0 10_000) (int_range 0 100)
            (int_range 0 10_000)))
-    (fun (n, seed, hole_pct, walk_seed) ->
-      let s = n * n in
-      let holes = s * s * hole_pct / 100 in
-      let board = Sudoku.Generate.puzzle ~seed ~n ~holes () in
-      let opts = Rules.init_options board in
-      let ref_opts =
-        List.fold_left
-          (fun o (i, j, k) -> snd (ref_add_number ~i ~j ~k board o))
-          (Nd.create [| s; s; s |] true)
-          (Board.filled board)
-      in
-      let rng = Random.State.make [| walk_seed |] in
-      let agree pool b o =
-        Rules.is_stuck ?pool b o = ref_is_stuck b o
-        && Rules.is_completed ?pool b = ref_is_completed b
-        && H.find_min_trues b o = ref_find_min_trues b o
-        && Board.count_filled b = ref_count_filled b
-        && List.for_all
-             (fun c ->
-               let i = c / s and j = c mod s in
-               Rules.count_options_at o ~i ~j = ref_count_options o i j
-               && Rules.options_at o ~i ~j = ref_options o i j)
-             (List.init (s * s) Fun.id)
-      in
-      let rec go steps b o =
-        agree None b o && agree (Some pool) b o
-        &&
-        let moves =
-          List.concat_map
-            (fun c ->
-              let i = c / s and j = c mod s in
-              if Nd.get b [| i; j |] <> 0 then []
-              else List.map (fun k -> (i, j, k)) (ref_options o i j))
-            (List.init (s * s) Fun.id)
-        in
-        steps = 0 || moves = []
-        ||
-        let i, j, k =
-          List.nth moves (Random.State.int rng (List.length moves))
-        in
-        let rb, ro = ref_add_number ~i ~j ~k b o in
-        let b1, o1 = Rules.add_number ~i ~j ~k b o in
-        let b2, o2 = Rules.add_number ~pool ~i ~j ~k b o in
-        Board.equal b1 rb && Board.equal b2 rb
-        && Nd.equal Bool.equal o1 ro && Nd.equal Bool.equal o2 ro
-        && go (steps - 1) b1 o1
-      in
-      Nd.equal Bool.equal opts ref_opts && go 12 board opts)
+    (kernels_match_reference pool)
 
 let test_kernels_differential () =
   let pool = Scheduler.Pool.create ~num_domains:2 () in
@@ -418,7 +436,12 @@ let test_kernels_differential () =
     (fun () ->
       QCheck.Test.check_exn
         ~rand:(Seeded.state ())
-        (prop_kernels_match_reference pool))
+        (prop_kernels_match_reference pool);
+      (* One fixed 49x49 state (n = 7, the widest box size masks
+         hold) and one placement from it: numbers 33 .. 49 use mask
+         bits 32 .. 48, which n <= 4 never reaches. *)
+      Alcotest.(check bool) "n = 7 matches the reference" true
+        (kernels_match_reference ~steps:1 pool (7, 3, 97, 11)))
 
 let raises f =
   try
@@ -429,7 +452,8 @@ let raises f =
 (* The shape check made once per call, and the coordinate checks. *)
 let test_kernel_contracts () =
   let board = Board.empty 3 and opts = Rules.all_options 9 in
-  let wrong = Nd.create [| 9; 9; 8 |] true in
+  let big = Board.empty 8 in
+  let wrong = Nd.create [| 9; 8 |] 511 in
   let short = Rules.all_options 4 in
   List.iter
     (fun (name, f) -> Alcotest.(check bool) name true (raises f))
@@ -453,7 +477,27 @@ let test_kernel_contracts () =
         fun () -> ignore (Rules.is_completed (Nd.create [| 9; 8 |] 0)) );
       ( "count_filled: not square",
         fun () -> ignore (Board.count_filled (Nd.create [| 9; 8 |] 0)) );
-    ]
+      ( "is_stuck: options cube",
+        fun () -> ignore (Rules.is_stuck board (Nd.create [| 9; 9; 9 |] 1)) );
+      ( "possible: number 10",
+        fun () -> ignore (Rules.possible opts ~i:0 ~j:0 ~k:10) );
+      ("possible: row 9", fun () -> ignore (Rules.possible opts ~i:9 ~j:0 ~k:1));
+      (* A mask holds at most 62 numbers: a 64x64 board parses, but no
+         options exist for it. *)
+      ("all_options: side 64", fun () -> ignore (Rules.all_options 64));
+      ("all_options: side 63", fun () -> ignore (Rules.all_options 63));
+      ( "opts_side: side 64",
+        fun () -> ignore (Board.opts_side (Nd.create [| 64; 64 |] 0)) );
+      ( "opts_side: 64x64 board",
+        fun () -> ignore (Board.opts_side ~board:big (Nd.create [| 64; 64 |] 0)) );
+      ("init_options: 64x64 board", fun () -> ignore (Rules.init_options big));
+    ];
+  (* The widest side accepted: every mask has bits 0 .. 61 set. *)
+  let widest = Rules.all_options 62 in
+  Alcotest.(check int) "side 62: all numbers possible" 62
+    (Rules.count_options_at widest ~i:61 ~j:61);
+  Alcotest.(check bool) "side 62: number 62 possible" true
+    (Rules.possible widest ~i:0 ~j:0 ~k:62)
 
 let suite =
   [
