@@ -73,6 +73,12 @@ solves ./_build/default/bin/snet_sudoku.exe --network fig3 --file "$grid_file" \
 echo "== fault-injection smoke =="
 dune build @fault-smoke
 
+echo "== scheduler smoke =="
+# The scheduler microbenchmark at CI size: parallel_for_range and
+# parallel_for_reduce_range over 10^5 indices, with-loop generators
+# and task round-trips, on a caller-only and a 2-worker pool.
+dune build @bench-smoke
+
 echo "== observability smoke =="
 # fig2/medium with tracing on vs off in paired interleaved rounds, a
 # 2-worker loopback solve with cluster shipping on (merged trace

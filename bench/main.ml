@@ -15,11 +15,12 @@
      dataparallel  Section 3's claim that addNumber/findMinTrues
                    parallelise for free: with-loop kernels across board
                    sizes and domain counts. Emits BENCH_kernels.json.
-     scheduler     The data-parallel substrate itself: work-stealing
-                   pool vs the seed mutex-FIFO pool, with-loop
-                   unit-step vs strided generators, task round-trips,
-                   steal/park counters. Emits BENCH_scheduler.json
-                   (set BENCH_SMOKE=1 for a tiny CI-sized run).
+     scheduler     The data-parallel substrate itself: the
+                   work-stealing pool's range operations across domain
+                   counts, with-loop unit-step vs strided generators,
+                   task round-trips, steal/park counters. Emits
+                   BENCH_scheduler.json (set BENCH_SMOKE=1 for a tiny
+                   CI-sized run).
      scaling       Hybrid networks across domain counts.
      combinators   Per-record overhead of each S-Net combinator on both
                    engines.
@@ -364,23 +365,33 @@ let exp_dataparallel () =
   write_kernels_json ()
 
 (* ------------------------------------------------------------------ *)
-(* scheduler: work-stealing pool vs the seed mutex-FIFO pool           *)
+(* scheduler: the work-stealing pool's data-parallel operations        *)
+
+(* Per-index bodies on the range API, with the element loop the
+   removed per-index wrappers ran, so the pfor/reduce rows stay
+   comparable with their earlier measurements. *)
+let each_index body ~lo ~hi =
+  for i = lo to hi - 1 do
+    body i
+  done
+
+let fold_indices ~combine ~init body ~lo ~hi =
+  let acc = ref init in
+  for i = lo to hi - 1 do
+    acc := combine !acc (body i)
+  done;
+  !acc
 
 let exp_scheduler () =
-  Printf.printf
-    "\n== scheduler: work-stealing pool vs seed mutex-FIFO pool ==\n";
+  Printf.printf "\n== scheduler: work-stealing pool ==\n";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let quota = if smoke then 0.05 else 1.0 in
-  (* The tentpole kernel: a 10^6-element with-loop-shaped parallel_for. *)
+  (* The tentpole kernel: a 10^6-element with-loop-shaped range loop. *)
   let n = if smoke then 100_000 else 1_000_000 in
   let side = if smoke then 320 else 1000 in
   let domain_counts = if smoke then [ 0; 2 ] else [ 0; 1; 2; 4 ] in
   let rows = ref [] in
   let collect title tests = rows := !rows @ bench_collect title ~quota tests in
-  let fifos =
-    List.map (fun d -> (d, Scheduler.Fifo_pool.create ~num_domains:d ()))
-      domain_counts
-  in
   let pools =
     List.map (fun d -> (d, Scheduler.Pool.create ~num_domains:d ()))
       domain_counts
@@ -388,35 +399,24 @@ let exp_scheduler () =
   let out = Array.make n 0 in
   let body i = out.(i) <- (i * 31) land 1023 in
   collect
-    (Printf.sprintf "parallel_for over %d indices (with-loop body)" n)
-    (List.concat_map
-       (fun (d, fp) ->
-         let (_, wp) = List.find (fun (d', _) -> d' = d) pools in
-         [
-           Test.make ~name:(Printf.sprintf "pfor/%de/fifo/domains=%d" n d)
-             (Staged.stage (fun () ->
-                  Scheduler.Fifo_pool.parallel_for fp ~lo:0 ~hi:n body));
-           Test.make ~name:(Printf.sprintf "pfor/%de/steal/domains=%d" n d)
-             (Staged.stage (fun () ->
-                  Scheduler.Pool.parallel_for wp ~lo:0 ~hi:n body));
-         ])
-       fifos);
+    (Printf.sprintf "parallel_for_range over %d indices (with-loop body)" n)
+    (List.map
+       (fun (d, wp) ->
+         Test.make ~name:(Printf.sprintf "pfor/%de/steal/domains=%d" n d)
+           (Staged.stage (fun () ->
+                Scheduler.Pool.parallel_for_range wp ~lo:0 ~hi:n
+                  (each_index body))))
+       pools);
   collect
-    (Printf.sprintf "parallel_for_reduce over %d indices" n)
-    (List.concat_map
-       (fun (d, fp) ->
-         let (_, wp) = List.find (fun (d', _) -> d' = d) pools in
-         [
-           Test.make ~name:(Printf.sprintf "reduce/%de/fifo/domains=%d" n d)
-             (Staged.stage (fun () ->
-                  Scheduler.Fifo_pool.parallel_for_reduce fp ~lo:0 ~hi:n
-                    ~combine:( + ) ~init:0 (fun i -> i land 7)));
-           Test.make ~name:(Printf.sprintf "reduce/%de/steal/domains=%d" n d)
-             (Staged.stage (fun () ->
-                  Scheduler.Pool.parallel_for_reduce wp ~lo:0 ~hi:n
-                    ~combine:( + ) ~init:0 (fun i -> i land 7)));
-         ])
-       fifos);
+    (Printf.sprintf "parallel_for_reduce_range over %d indices" n)
+    (List.map
+       (fun (d, wp) ->
+         Test.make ~name:(Printf.sprintf "reduce/%de/steal/domains=%d" n d)
+           (Staged.stage (fun () ->
+                Scheduler.Pool.parallel_for_reduce_range wp ~lo:0 ~hi:n
+                  ~combine:( + ) ~init:0
+                  (fold_indices ~combine:( + ) ~init:0 (fun i -> i land 7)))))
+       pools);
   (* With-loop unit-step vs step-2 generator over the same number of
      points, on the new pool; both run on the one stride odometer. *)
   let wl_body iv = (iv.(0) * 31) + iv.(1) land 1023 in
@@ -443,16 +443,11 @@ let exp_scheduler () =
        pools);
   (* Task submission/latency: one run() round trip. *)
   collect "task round-trip (run of a trivial thunk)"
-    (List.concat_map
-       (fun (d, fp) ->
-         let (_, wp) = List.find (fun (d', _) -> d' = d) pools in
-         [
-           Test.make ~name:(Printf.sprintf "run/fifo/domains=%d" d)
-             (Staged.stage (fun () -> Scheduler.Fifo_pool.run fp (fun () -> 0)));
-           Test.make ~name:(Printf.sprintf "run/steal/domains=%d" d)
-             (Staged.stage (fun () -> Scheduler.Pool.run wp (fun () -> 0)));
-         ])
-       fifos);
+    (List.map
+       (fun (d, wp) ->
+         Test.make ~name:(Printf.sprintf "run/steal/domains=%d" d)
+           (Staged.stage (fun () -> Scheduler.Pool.run wp (fun () -> 0))))
+       pools);
   (* Scheduler observability: the counters the pool now exposes. *)
   let obs_pool = List.assoc (List.fold_left max 0 domain_counts) pools in
   let s0 = Scheduler.Pool.stats obs_pool in
@@ -461,10 +456,10 @@ let exp_scheduler () =
     \  tasks=%d steals=%d parks=%d splits=%d\n"
     s0.Scheduler.Pool.tasks s0.Scheduler.Pool.steals s0.Scheduler.Pool.parks
     s0.Scheduler.Pool.splits;
-  (* Task latency distribution: one metrics-instrumented parallel_for
+  (* Task latency distribution: one metrics-instrumented range loop
      on the same pool, reported as percentiles via the obsv layer. *)
   Obsv.Metrics.enable ();
-  Scheduler.Pool.parallel_for obs_pool ~lo:0 ~hi:n body;
+  Scheduler.Pool.parallel_for_range obs_pool ~lo:0 ~hi:n (each_index body);
   let task_lat =
     List.find_map
       (fun (c, nm, h) -> if c = "pool" && nm = "task" then Some h else None)
@@ -482,7 +477,6 @@ let exp_scheduler () =
         (pretty_ns (h.Obsv.Metrics.p99 *. 1e9))
         (pretty_ns (h.Obsv.Metrics.max_s *. 1e9))
   | None -> Printf.printf "  (no pool task spans recorded)\n");
-  List.iter (fun (_, p) -> Scheduler.Fifo_pool.shutdown p) fifos;
   List.iter (fun (_, p) -> Scheduler.Pool.shutdown p) pools;
   (* Persist the trajectory for later PRs. *)
   let rows = !rows in

@@ -10,8 +10,7 @@
    Blocking primitives come in through two seams:
    - {!Platform}: a [Scheduler.Platform.S] whose mutex/condition/
      spawn/join suspend fibers instead of OS threads — the REAL
-     [Channel.Make]/[Fifo_pool.Make]/[Future.Make] code runs on it
-     unmodified;
+     [Channel.Make] code runs on it unmodified;
    - {!exec}: a [Scheduler.Exec.t] whose [post]ed tasks go into a bag
      that strategy-chosen [help] calls drain — the actor layer and
      [Engine_conc] run on it unmodified.

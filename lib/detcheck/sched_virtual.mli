@@ -9,8 +9,8 @@
     execution, and {!Strategy.replay} reproduces it byte-for-byte.
 
     The program under test reaches the scheduler through two seams:
-    {!Platform} for blocking primitives (run the real
-    [Channel.Make]/[Fifo_pool.Make]/[Future.Make] functors on it) and
+    {!Platform} for blocking primitives (run the real [Channel.Make]
+    functor on it) and
     {!exec} for task execution (pass it to
     [Engine_conc.run ~exec] / [Streams.Actors.system ~exec]). *)
 

@@ -1,67 +1,51 @@
-module type S = sig
-  type 'a t
+type 'a state =
+  | Pending
+  | Resolved of ('a, exn) result
 
-  val create : unit -> 'a t
-  val fill : 'a t -> 'a -> unit
-  val fill_error : 'a t -> exn -> unit
-  val run : 'a t -> (unit -> 'a) -> unit
-  val await : 'a t -> 'a
-  val peek : 'a t -> ('a, exn) result option
-  val is_resolved : 'a t -> bool
-end
+type 'a t = {
+  mutex : Mutex.t;
+  cond : Condition.t;
+  mutable state : 'a state;
+}
 
-module Make (P : Platform.S) = struct
-  type 'a state =
-    | Pending
-    | Resolved of ('a, exn) result
+let create () =
+  { mutex = Mutex.create (); cond = Condition.create (); state = Pending }
 
-  type 'a t = {
-    mutex : P.mutex;
-    cond : P.cond;
-    mutable state : 'a state;
-  }
+let resolve t result =
+  Mutex.lock t.mutex;
+  match t.state with
+  | Resolved _ ->
+      Mutex.unlock t.mutex;
+      invalid_arg "Future: already resolved"
+  | Pending ->
+      t.state <- Resolved result;
+      Condition.broadcast t.cond;
+      Mutex.unlock t.mutex
 
-  let create () =
-    { mutex = P.mutex_create (); cond = P.cond_create (); state = Pending }
+let fill t v = resolve t (Ok v)
+let fill_error t e = resolve t (Error e)
 
-  let resolve t result =
-    P.lock t.mutex;
+let run t f =
+  let result = try Ok (f ()) with e -> Error e in
+  resolve t result
+
+let await t =
+  Mutex.lock t.mutex;
+  let rec wait () =
     match t.state with
-    | Resolved _ ->
-        P.unlock t.mutex;
-        invalid_arg "Future: already resolved"
+    | Resolved r -> r
     | Pending ->
-        t.state <- Resolved result;
-        P.broadcast t.cond;
-        P.unlock t.mutex
+        Condition.wait t.cond t.mutex;
+        wait ()
+  in
+  let r = wait () in
+  Mutex.unlock t.mutex;
+  match r with Ok v -> v | Error e -> raise e
 
-  let fill t v = resolve t (Ok v)
-  let fill_error t e = resolve t (Error e)
+let peek t =
+  Mutex.lock t.mutex;
+  let r = match t.state with Pending -> None | Resolved r -> Some r in
+  Mutex.unlock t.mutex;
+  r
 
-  let run t f =
-    let result = try Ok (f ()) with e -> Error e in
-    resolve t result
-
-  let await t =
-    P.lock t.mutex;
-    let rec wait () =
-      match t.state with
-      | Resolved r -> r
-      | Pending ->
-          P.wait t.cond t.mutex;
-          wait ()
-    in
-    let r = wait () in
-    P.unlock t.mutex;
-    match r with Ok v -> v | Error e -> raise e
-
-  let peek t =
-    P.lock t.mutex;
-    let r = match t.state with Pending -> None | Resolved r -> Some r in
-    P.unlock t.mutex;
-    r
-
-  let is_resolved t = peek t <> None
-end
-
-include Make (Platform.Os)
+let is_resolved t = peek t <> None

@@ -1,15 +1,14 @@
 (* The blocking-primitive seam for deterministic concurrency testing.
 
    Modules whose concurrency bugs we want to explore under a controlled
-   scheduler ({!Fifo_pool}, {!Sync}, {!Future}, [Streams.Channel]) are
-   functorized over this signature instead of calling [Mutex],
-   [Condition] and [Domain] directly. Production code instantiates the
-   functors with {!Os} (a direct, zero-cost mapping onto the real
-   primitives — each function is a partial application of the stdlib
-   one), while the detcheck library instantiates them with a virtual
-   platform whose "threads" are fibers multiplexed on one carrier
-   thread and whose every park/wake decision is driven by a seeded,
-   replayable strategy. *)
+   scheduler ([Streams.Channel]) are functorized over this signature
+   instead of calling [Mutex], [Condition] and [Domain] directly.
+   Production code instantiates the functors with {!Os} (a direct,
+   zero-cost mapping onto the real primitives — each function is a
+   partial application of the stdlib one), while the detcheck library
+   instantiates them with a virtual platform whose "threads" are fibers
+   multiplexed on one carrier thread and whose every park/wake decision
+   is driven by a seeded, replayable strategy. *)
 
 module type S = sig
   val name : string

@@ -17,13 +17,14 @@
    value, the epoch bump is observed by the worker's wait predicate
    under the park mutex.
 
-   [parallel_for]/[parallel_for_reduce] use lazy binary splitting
-   instead of a shared fetch-and-add cursor: every participant owns a
-   contiguous range and only splits off the right half (pushed to its
-   own deque, stealable) when somebody is visibly hungry — a parked
-   worker exists or the participant's own deque has been emptied by
-   thieves. On a saturated machine each participant therefore runs its
-   whole range as straight-line loops with no shared-counter traffic. *)
+   [parallel_for_range]/[parallel_for_reduce_range] use lazy binary
+   splitting instead of a shared fetch-and-add cursor: every
+   participant owns a contiguous range and only splits off the right
+   half (pushed to its own deque, stealable) when somebody is visibly
+   hungry — a parked worker exists or the participant's own deque has
+   been emptied by thieves. On a saturated machine each participant
+   therefore runs its whole range as straight-line loops with no
+   shared-counter traffic. *)
 
 type task = unit -> unit
 
@@ -31,7 +32,7 @@ type counters = {
   c_tasks : int Atomic.t;   (* tasks executed by workers or helpers *)
   c_steals : int Atomic.t;  (* successful steals *)
   c_parks : int Atomic.t;   (* times a worker went to sleep *)
-  c_splits : int Atomic.t;  (* ranges split by parallel_for/_reduce *)
+  c_splits : int Atomic.t;  (* ranges split by the range operations *)
 }
 
 type t = {
@@ -338,14 +339,15 @@ let work_wanted t =
   | Some slot -> Chase_lev.is_empty t.deques.(slot)
   | None -> false
 
-let parallel_for_reduce_range t ?grain ~lo ~hi ~combine ~init body =
+(* [fn] names the public entry point in the [grain < 1] error. *)
+let reduce_range ~fn t ?grain ~lo ~hi ~combine ~init body =
   let n = hi - lo in
   if n <= 0 then init
   else begin
     let grain =
       match grain with
       | Some g ->
-          if g < 1 then invalid_arg "Pool.parallel_for: chunk < 1";
+          if g < 1 then invalid_arg (fn ^ ": grain < 1");
           g
       | None -> default_grain t n
     in
@@ -415,35 +417,14 @@ let parallel_for_reduce_range t ?grain ~lo ~hi ~combine ~init body =
     end
   end
 
+let parallel_for_reduce_range t ?grain ~lo ~hi ~combine ~init body =
+  reduce_range ~fn:"Pool.parallel_for_reduce_range" t ?grain ~lo ~hi ~combine
+    ~init body
+
 let parallel_for_range t ?grain ~lo ~hi body =
-  parallel_for_reduce_range t ?grain ~lo ~hi
+  reduce_range ~fn:"Pool.parallel_for_range" t ?grain ~lo ~hi
     ~combine:(fun () () -> ())
     ~init:() body
-
-let parallel_for_reduce t ?chunk ~lo ~hi ~combine ~init body =
-  parallel_for_reduce_range t ?grain:chunk ~lo ~hi ~combine ~init
-    (fun ~lo ~hi ->
-      let acc = ref init in
-      for i = lo to hi - 1 do
-        acc := combine !acc (body i)
-      done;
-      !acc)
-
-let parallel_for t ?chunk ~lo ~hi body =
-  parallel_for_range t ?grain:chunk ~lo ~hi (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        body i
-      done)
-
-let parallel_map_array t f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let first = f a.(0) in
-    let out = Array.make n first in
-    parallel_for t ~lo:1 ~hi:n (fun i -> out.(i) <- f a.(i));
-    out
-  end
 
 let default_size = ref None
 let default_pool = ref None

@@ -2,23 +2,23 @@
 
     This is the execution substrate standing in for SaC's multithreaded
     runtime: data-parallel with-loops are partitioned into ranges and
-    executed by the pool ({!parallel_for} and friends), and the S-Net
-    actor engine runs component activations on it ({!async}).
+    executed by the pool ({!parallel_for_range},
+    {!parallel_for_reduce_range}), and the S-Net actor engine runs
+    component activations on it ({!async}).
 
     Each worker domain owns a Chase–Lev deque: it pushes and pops its
     own work LIFO and steals FIFO from siblings when empty, parking on
     a condition variable only after a full sweep finds nothing.
     Submissions from non-worker threads enter through a shared injector
-    queue. Range operations ({!parallel_for}, {!parallel_for_reduce})
-    use lazy binary splitting: every participant owns a contiguous
-    subrange and splits off stealable halves only while idle workers
-    are observed, so a saturated pool runs straight-line loops with no
-    shared-counter traffic.
+    queue. The range operations use lazy binary splitting: every
+    participant owns a contiguous subrange and splits off stealable
+    halves only while idle workers are observed, so a saturated pool
+    runs straight-line loops with no shared-counter traffic.
 
     The calling thread always participates in the bracketed operations
-    ([parallel_for], [run]), so a pool created with [num_domains:0] is
-    a correct, purely sequential executor — useful on single-core
-    machines and for deterministic tests. *)
+    (the range operations and [run]), so a pool created with
+    [num_domains:0] is a correct, purely sequential executor — useful
+    on single-core machines and for deterministic tests. *)
 
 type t
 
@@ -72,34 +72,23 @@ val run : t -> (unit -> 'a) -> 'a
     bounded spin followed by a blocking wait, never an unbounded
     busy-loop. *)
 
-val parallel_for : t -> ?chunk:int -> lo:int -> hi:int -> (int -> unit) -> unit
-(** [parallel_for t ~lo ~hi body] executes [body i] for [lo <= i < hi]
-    with no ordering guarantee, partitioned into leaf ranges of at most
-    [chunk] indices (default: a heuristic based on range size and
-    parallelism). The first exception raised by any [body] is
-    re-raised in the caller after all participants stop. *)
-
 val parallel_for_range :
   t -> ?grain:int -> lo:int -> hi:int -> (lo:int -> hi:int -> unit) -> unit
-(** Range-level variant of {!parallel_for}: [body ~lo ~hi] receives
-    maximal machine-assigned subranges (each at most [grain] indices)
-    instead of single indices, letting the caller hoist per-chunk state
-    (scratch buffers, accumulators) out of the element loop. Subranges
-    partition [lo, hi): every index is covered exactly once. *)
+(** [parallel_for_range t ~lo ~hi body] calls [body ~lo:a ~hi:b] on
+    machine-assigned subranges [a, b) that partition [lo, hi): every
+    index is covered exactly once, in no particular order. The caller
+    writes the element loop, so per-chunk state (scratch buffers,
+    accumulators) is hoisted out of it.
 
-val parallel_for_reduce :
-  t ->
-  ?chunk:int ->
-  lo:int ->
-  hi:int ->
-  combine:('a -> 'a -> 'a) ->
-  init:'a ->
-  (int -> 'a) ->
-  'a
-(** [parallel_for_reduce t ~lo ~hi ~combine ~init body] folds the
-    results of [body i] with [combine], which must be associative and
-    commutative with unit [init]; the combination order across leaf
-    ranges is unspecified. *)
+    On a pool with {!parallelism} [> 1], each call receives at most
+    [grain] indices (default: a heuristic based on range size and
+    parallelism). On a pool with {!parallelism} [1] (created with
+    [num_domains:0]) there is nobody to share with, so a non-empty range
+    goes to a single call whatever [grain] is.
+
+    The first exception raised by any [body] is re-raised in the caller
+    after all participants stop.
+    @raise Invalid_argument if [grain < 1] and the range is non-empty. *)
 
 val parallel_for_reduce_range :
   t ->
@@ -110,12 +99,12 @@ val parallel_for_reduce_range :
   init:'a ->
   (lo:int -> hi:int -> 'a) ->
   'a
-(** Range-level variant of {!parallel_for_reduce}: [body ~lo ~hi]
-    computes the partial value of a whole subrange (typically folding
-    locally from [init]); partials are combined in unspecified order. *)
-
-val parallel_map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Element-wise map over an array using {!parallel_for}. *)
+(** Reducing form of {!parallel_for_range}, with the same subranges,
+    [grain] contract and exception behaviour: [body ~lo ~hi] computes the
+    partial value of a whole subrange (typically folding locally from
+    [init]) and the partials are folded with [combine], which must be
+    associative and commutative with unit [init]; the combination order
+    is unspecified. An empty range returns [init]. *)
 
 (** {1 Observability} *)
 

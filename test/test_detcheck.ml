@@ -327,51 +327,6 @@ let test_mutation_channel_close () =
     true (buggy > 0);
   Alcotest.(check int) "fixed close never deadlocks" 0 fixed
 
-(* The Fifo_pool seed bug: parallel_for_reduce awaiting its helpers
-   with a blocking (double) Latch.await instead of helping to drain
-   the queue. With one worker running a nested reduce, the helper
-   chunk starves in the FIFO behind the awaiting participant. *)
-let fifo_reduce_scenario () =
-  let module F = Scheduler.Future.Make (Sv.Platform) in
-  let module FP = Scheduler.Fifo_pool.Make (Sv.Platform) (F) in
-  let pool = FP.create ~num_domains:1 () in
-  let fut =
-    FP.async pool (fun () ->
-        FP.parallel_for_reduce pool ~chunk:1 ~lo:0 ~hi:4 ~combine:( + )
-          ~init:0
-          (fun i -> i))
-  in
-  let v = F.await fut in
-  FP.shutdown pool;
-  v
-
-let test_mutation_fifo_double_await () =
-  let with_flag v f =
-    Scheduler.Fifo_pool.inject_double_await := v;
-    Fun.protect
-      ~finally:(fun () -> Scheduler.Fifo_pool.inject_double_await := false)
-      f
-  in
-  let run_one seed =
-    let res, _ =
-      Sv.run ~strategy:(Strategy.random ~seed) (fun _ -> fifo_reduce_scenario ())
-    in
-    res
-  in
-  with_flag true (fun () ->
-      match run_one 0 with
-      | Error (Scheduler.Exec.Deadlock msg) ->
-          Alcotest.(check bool) "deadlock report names blocked fibers" true
-            (String.length msg > 0)
-      | Ok v -> Alcotest.failf "double await did not deadlock (got %d)" v
-      | Error e -> raise e);
-  with_flag false (fun () ->
-      for s = 0 to 9 do
-        match run_one s with
-        | Ok v -> Alcotest.(check int) "reduce result" 6 v
-        | Error e -> raise e
-      done)
-
 (* --- deadlock reporting ------------------------------------------ *)
 
 let test_deadlock_report () =
@@ -442,8 +397,6 @@ let suite =
       test_explore_supervision;
     Alcotest.test_case "mutation: channel close-no-wake is found" `Quick
       test_mutation_channel_close;
-    Alcotest.test_case "mutation: fifo double-await is found" `Quick
-      test_mutation_fifo_double_await;
     Alcotest.test_case "deadlocks are reported with blocked fibers" `Quick
       test_deadlock_report;
     Alcotest.test_case "step budget ends livelocks" `Quick test_budget;

@@ -1,13 +1,26 @@
-(* Domain pool, futures, latches, barriers, work-stealing deque. *)
+(* Domain pool, futures, work-stealing deque. *)
 
 module Pool = Scheduler.Pool
 module Future = Scheduler.Future
-module Sync = Scheduler.Sync
 module CL = Scheduler.Chase_lev
 
 let with_pool n f =
   let pool = Pool.create ~num_domains:n () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* Per-index bodies lifted onto the range API: [each f] runs [f i] for
+   every index of a subrange, [fold f] sums [f i] over it. *)
+let each f ~lo ~hi =
+  for i = lo to hi - 1 do
+    f i
+  done
+
+let fold f ~lo ~hi =
+  let acc = ref 0 in
+  for i = lo to hi - 1 do
+    acc := !acc + f i
+  done;
+  !acc
 
 let test_future_fill () =
   let fut = Future.create () in
@@ -29,33 +42,6 @@ let test_future_error () =
   | Some (Error Boom) -> ()
   | _ -> Alcotest.fail "peek should expose the error"
 
-let test_latch () =
-  let l = Sync.Latch.create 3 in
-  Alcotest.(check int) "pending" 3 (Sync.Latch.pending l);
-  Sync.Latch.count_down l;
-  Sync.Latch.count_down l;
-  Sync.Latch.count_down l;
-  Sync.Latch.await l;
-  Sync.Latch.count_down l (* below zero is ignored *);
-  Alcotest.(check int) "drained" 0 (Sync.Latch.pending l);
-  Sync.Latch.await (Sync.Latch.create 0)
-
-let test_barrier () =
-  let b = Sync.Barrier.create 3 in
-  let hits = Atomic.make 0 in
-  let domains =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            ignore (Sync.Barrier.await b);
-            Atomic.incr hits;
-            ignore (Sync.Barrier.await b)))
-  in
-  ignore (Sync.Barrier.await b);
-  (* After the first barrier trips, all parties have arrived. *)
-  ignore (Sync.Barrier.await b);
-  Alcotest.(check int) "all crossed" 2 (Atomic.get hits);
-  List.iter Domain.join domains
-
 let test_pool_run () =
   with_pool 2 (fun pool ->
       Alcotest.(check int) "run" 7 (Pool.run pool (fun () -> 3 + 4));
@@ -69,32 +55,35 @@ let test_pool_zero_workers () =
       Alcotest.(check int) "run sequentially" 10
         (Pool.run pool (fun () -> 10));
       let total = ref 0 in
-      Pool.parallel_for pool ~lo:0 ~hi:100 (fun i -> total := !total + i);
-      Alcotest.(check int) "parallel_for" 4950 !total)
+      Pool.parallel_for_range pool ~lo:0 ~hi:100
+        (each (fun i -> total := !total + i));
+      Alcotest.(check int) "parallel_for_range" 4950 !total)
 
 let test_parallel_for () =
   with_pool 3 (fun pool ->
       let hits = Array.make 1000 0 in
-      Pool.parallel_for pool ~lo:0 ~hi:1000 (fun i -> hits.(i) <- hits.(i) + 1);
+      Pool.parallel_for_range pool ~lo:0 ~hi:1000
+        (each (fun i -> hits.(i) <- hits.(i) + 1));
       Alcotest.(check bool) "each index exactly once" true
         (Array.for_all (fun h -> h = 1) hits);
       (* Empty and single-element ranges. *)
-      Pool.parallel_for pool ~lo:5 ~hi:5 (fun _ -> Alcotest.fail "no indices");
+      Pool.parallel_for_range pool ~lo:5 ~hi:5 (fun ~lo:_ ~hi:_ ->
+          Alcotest.fail "no indices");
       let one = ref 0 in
-      Pool.parallel_for pool ~lo:7 ~hi:8 (fun i -> one := i);
+      Pool.parallel_for_range pool ~lo:7 ~hi:8 (each (fun i -> one := i));
       Alcotest.(check int) "singleton" 7 !one)
 
 let test_parallel_for_reduce () =
   with_pool 3 (fun pool ->
       let sum =
-        Pool.parallel_for_reduce pool ~lo:1 ~hi:1001 ~combine:( + ) ~init:0
-          (fun i -> i)
+        Pool.parallel_for_reduce_range pool ~lo:1 ~hi:1001 ~combine:( + )
+          ~init:0 (fold Fun.id)
       in
       Alcotest.(check int) "sum 1..1000" 500500 sum;
       let s2 =
-        Pool.parallel_for_reduce pool ~chunk:7 ~lo:0 ~hi:100 ~combine:( + )
-          ~init:0
-          (fun i -> i * i)
+        Pool.parallel_for_reduce_range pool ~grain:7 ~lo:0 ~hi:100
+          ~combine:( + ) ~init:0
+          (fold (fun i -> i * i))
       in
       Alcotest.(check int) "chunked" 328350 s2)
 
@@ -102,19 +91,10 @@ let test_parallel_for_exception () =
   with_pool 2 (fun pool ->
       Alcotest.(check bool) "body exception propagates" true
         (try
-           Pool.parallel_for pool ~lo:0 ~hi:100 (fun i ->
-               if i = 50 then raise Boom);
+           Pool.parallel_for_range pool ~lo:0 ~hi:100
+             (each (fun i -> if i = 50 then raise Boom));
            false
          with Boom -> true))
-
-let test_parallel_map_array () =
-  with_pool 2 (fun pool ->
-      let a = Array.init 100 Fun.id in
-      let b = Pool.parallel_map_array pool (fun x -> x * 2) a in
-      Alcotest.(check bool) "mapped" true
-        (Array.for_all2 (fun x y -> y = 2 * x) a b);
-      Alcotest.(check (array int)) "empty" [||]
-        (Pool.parallel_map_array pool (fun x -> x) [||]))
 
 let test_nested_run () =
   with_pool 2 (fun pool ->
@@ -271,25 +251,27 @@ let prop_chase_lev_partition =
       List.sort compare all = List.init n Fun.id)
 
 let test_nested_parallel_for () =
-  (* parallel_for from inside pool tasks: no deadlock, no lost or
+  (* parallel_for_range from inside pool tasks: no deadlock, no lost or
      duplicated indices, even with single-index chunks forcing maximal
      task counts. *)
   with_pool 3 (fun pool ->
       let total = Atomic.make 0 in
-      Pool.parallel_for pool ~chunk:1 ~lo:0 ~hi:16 (fun _ ->
-          Pool.parallel_for pool ~chunk:8 ~lo:0 ~hi:500 (fun _ ->
-              Atomic.incr total));
+      Pool.parallel_for_range pool ~grain:1 ~lo:0 ~hi:16
+        (each (fun _ ->
+             Pool.parallel_for_range pool ~grain:8 ~lo:0 ~hi:500
+               (each (fun _ -> Atomic.incr total))));
       Alcotest.(check int) "nested indices all covered" 8000
         (Atomic.get total);
       let v =
         Pool.run pool (fun () ->
             let acc = Atomic.make 0 in
-            Pool.parallel_for pool ~chunk:1 ~lo:0 ~hi:8 (fun i ->
-                ignore
-                  (Atomic.fetch_and_add acc (Pool.run pool (fun () -> i))));
+            Pool.parallel_for_range pool ~grain:1 ~lo:0 ~hi:8
+              (each (fun i ->
+                   ignore
+                     (Atomic.fetch_and_add acc (Pool.run pool (fun () -> i)))));
             Atomic.get acc)
       in
-      Alcotest.(check int) "run inside parallel_for inside run" 28 v)
+      Alcotest.(check int) "run inside parallel_for_range inside run" 28 v)
 
 let test_parallel_for_range () =
   with_pool 2 (fun pool ->
@@ -311,13 +293,27 @@ let test_parallel_for_range () =
             done;
             !acc)
       in
-      Alcotest.(check int) "range reduce" 499500 sum)
+      Alcotest.(check int) "range reduce" 499500 sum);
+  (* With nobody to share with, [grain] does not cap the one call. *)
+  with_pool 0 (fun pool ->
+      let calls = ref 0 in
+      Pool.parallel_for_range pool ~grain:64 ~lo:0 ~hi:10_000
+        (fun ~lo ~hi ->
+          incr calls;
+          Alcotest.(check (pair int int)) "whole range" (0, 10_000) (lo, hi));
+      Alcotest.(check int) "one call on a caller-only pool" 1 !calls;
+      Alcotest.(check bool) "grain 0 rejected" true
+        (try
+           Pool.parallel_for_range pool ~grain:0 ~lo:0 ~hi:10
+             (fun ~lo:_ ~hi:_ -> ());
+           false
+         with Invalid_argument _ -> true))
 
 let test_pool_counters () =
   with_pool 2 (fun pool ->
       let s0 = Pool.stats pool in
       Alcotest.(check int) "run" 1 (Pool.run pool (fun () -> 1));
-      Pool.parallel_for pool ~chunk:16 ~lo:0 ~hi:100_000 (fun _ -> ());
+      Pool.parallel_for_range pool ~grain:16 ~lo:0 ~hi:100_000 (each ignore);
       let s1 = Pool.stats pool in
       Alcotest.(check bool) "tasks counted" true (s1.Pool.tasks > s0.Pool.tasks);
       Alcotest.(check bool) "counters monotonic" true
@@ -334,22 +330,19 @@ let prop_parallel_sum_matches =
         ~finally:(fun () -> Pool.shutdown pool)
         (fun () ->
           let expect = n * (n - 1) / 2 in
-          Pool.parallel_for_reduce pool ~lo:0 ~hi:n ~combine:( + ) ~init:0
-            Fun.id
+          Pool.parallel_for_reduce_range pool ~lo:0 ~hi:n ~combine:( + )
+            ~init:0 (fold Fun.id)
           = expect))
 
 let suite =
   [
     Alcotest.test_case "future fill/await" `Quick test_future_fill;
     Alcotest.test_case "future error" `Quick test_future_error;
-    Alcotest.test_case "latch" `Quick test_latch;
-    Alcotest.test_case "barrier" `Quick test_barrier;
     Alcotest.test_case "pool run/async" `Quick test_pool_run;
     Alcotest.test_case "pool with zero workers" `Quick test_pool_zero_workers;
     Alcotest.test_case "parallel_for covers range once" `Quick test_parallel_for;
     Alcotest.test_case "parallel_for_reduce" `Quick test_parallel_for_reduce;
     Alcotest.test_case "parallel_for exception" `Quick test_parallel_for_exception;
-    Alcotest.test_case "parallel_map_array" `Quick test_parallel_map_array;
     Alcotest.test_case "nested run" `Quick test_nested_run;
     Alcotest.test_case "shutdown" `Quick test_shutdown;
     Alcotest.test_case "chase-lev LIFO/FIFO" `Quick test_chase_lev_lifo_fifo;
