@@ -79,6 +79,13 @@ echo "== scheduler smoke =="
 # and task round-trips, on a caller-only and a 2-worker pool.
 dune build @bench-smoke
 
+echo "== end-to-end benchmark smoke =="
+# Every bench/e2e workload (fig2-solve, fig3-solve16, dist-stream,
+# serve-journaled) for about a second, untraced and traced, with the
+# output oracles on: an engine change that breaks a gated workload
+# fails here rather than in a full benchmark run.
+dune build @bench/e2e/smoke
+
 echo "== observability smoke =="
 # fig2/medium with tracing on vs off in paired interleaved rounds, a
 # 2-worker loopback solve with cluster shipping on (merged trace

@@ -7,7 +7,36 @@ type amsg =
   | Data of Detmerge.meta * Record.t
   | Complete of int
 
-type target = amsg Streams.Actors.t
+(* Where a component sends its outputs. Boxes, filters, syncs and
+   collectors are actors: the record is queued in a mailbox and handled
+   by a pool task. Choice and split dispatchers, star taps and
+   [Observe] wrappers only route records, so they are inline routes
+   that run on the sending thread; a record crossing one pays no
+   mailbox, pool task or spawn. An exception a route raises escapes
+   its sender's handler, which {!Streams.Actors} records for [finish]
+   to re-raise. *)
+type target =
+  | Actor of amsg Streams.Actors.t
+  | Route of (Detmerge.meta -> Record.t -> unit)
+
+let send target meta r =
+  match target with
+  | Actor a -> Streams.Actors.send a (Data (meta, r))
+  | Route f -> f meta r
+
+module Int_map = Map.Make (Int)
+
+(* Lazy unfolding under concurrent senders: [find] reads what has been
+   published without a lock; a miss takes [lock], looks again and
+   calls [build], which publishes. So each entry is built exactly once.
+   [build] only spawns actors and never sends, so no send happens while
+   [lock] is held. *)
+let find_or_build lock ~find ~build =
+  match find () with
+  | Some t -> t
+  | None ->
+      Mutex.protect lock (fun () ->
+          match find () with Some t -> t | None -> build ())
 
 type instance = {
   sys : Streams.Actors.system;
@@ -21,7 +50,7 @@ type instance = {
   mutable next_input : int;
   mutable next_region_id : int;
   mutable stalls_seen : int;
-  mutable entry : target option;
+  mutable entry : amsg Streams.Actors.t option;
   net : Net.t;
   (* Input variants already admission-checked via Typecheck.flow. *)
   checked : (string list * string list, unit) Hashtbl.t;
@@ -53,10 +82,7 @@ let reg_star eng path f =
   Mutex.unlock eng.imutex
 
 let send_outputs ~down meta outs =
-  List.iteri
-    (fun i out ->
-      Streams.Actors.send down (Data (Detmerge.child_meta meta i, out)))
-    outs
+  List.iteri (fun i out -> send down (Detmerge.child_meta meta i) out) outs
 
 let observe_edge eng path r =
   match eng.observer with Some f -> f ~edge:path r | None -> ()
@@ -74,9 +100,7 @@ let new_region eng =
    releases complete sequence numbers in order. *)
 let make_collector eng ~name region ~down =
   let release entries =
-    List.iter
-      (fun (meta, record) -> Streams.Actors.send down (Data (meta, record)))
-      entries
+    List.iter (fun (meta, record) -> send down meta record) entries
   in
   let handler = function
     | Complete s -> release (Detmerge.collector_complete region s)
@@ -86,7 +110,7 @@ let make_collector eng ~name region ~down =
   let col = Streams.Actors.spawn eng.sys ~name handler in
   Detmerge.set_notify region (fun seq ->
       Streams.Actors.send col (Complete seq));
-  col
+  Actor col
 
 (* A component that consumes one record and emits [outs]: account every
    enclosing deterministic region before forwarding. *)
@@ -100,7 +124,11 @@ let stray path =
 
 (* Error records bypass the component: forward unchanged on the same
    causal line, so deterministic collectors still see and order them. *)
-let pass_error ~down meta r = Streams.Actors.send down (Data (meta, r))
+let pass_error ~down meta r = send down meta r
+
+(* The entry of a deterministic region stamps every record it admits. *)
+let stamp_entry region meta =
+  match region with None -> meta | Some rg -> Detmerge.stamp rg meta
 
 let rec build eng path net ~down : target =
   match net with
@@ -127,7 +155,7 @@ let rec build eng path net ~down : target =
               | Supervise.Fail e -> raise e
             end
       in
-      Streams.Actors.spawn eng.sys ~name:path handler
+      Actor (Streams.Actors.spawn eng.sys ~name:path handler)
   | Net.Filter f ->
       let path = path ^ "/filter:" ^ Filter.name f in
       Stats.record_instance eng.istats;
@@ -144,7 +172,7 @@ let rec build eng path net ~down : target =
               consume_emit eng ~down meta outs
             end
       in
-      Streams.Actors.spawn eng.sys ~name:path handler
+      Actor (Streams.Actors.spawn eng.sys ~name:path handler)
   | Net.Sync patterns ->
       let path = path ^ "/sync" in
       Stats.record_instance eng.istats;
@@ -199,20 +227,17 @@ let rec build eng path net ~down : target =
                     Detmerge.account meta 0
             end
       in
-      Streams.Actors.spawn eng.sys ~name:path handler
+      Actor (Streams.Actors.spawn eng.sys ~name:path handler)
   (* Placement hints are extra-functional: build the body at the same
      path so annotated and bare nets capture/restore identically. *)
   | Net.Place { body; _ } -> build eng path body ~down
   | Net.Observe { tag; body } ->
       let opath = path ^ "/" ^ tag in
       let inner = build eng opath body ~down in
-      let handler = function
-        | Complete _ -> stray opath
-        | Data (meta, r) ->
-            observe_edge eng opath r;
-            Streams.Actors.send inner (Data (meta, r))
-      in
-      Streams.Actors.spawn eng.sys ~name:opath handler
+      Route
+        (fun meta r ->
+          observe_edge eng opath r;
+          send inner meta r)
   | Net.Serial (a, b) ->
       let cb = build eng (path ^ "/R") b ~down in
       build eng (path ^ "/L") a ~down:cb
@@ -227,16 +252,11 @@ let rec build eng path net ~down : target =
       in
       let cl = build eng (path ^ "/l") left ~down:merge_down in
       let cr = build eng (path ^ "/r") right ~down:merge_down in
-      let handler = function
-        | Complete _ -> stray path
-        | Data (meta, r) ->
-            let meta =
-              match region with
-              | None -> meta
-              | Some rg -> Detmerge.stamp rg meta
-            in
-            if Supervise.is_error r then pass_error ~down:merge_down meta r
-            else
+      Route
+        (fun meta r ->
+          let meta = stamp_entry region meta in
+          if Supervise.is_error r then pass_error ~down:merge_down meta r
+          else
             let sl = Rectype.match_score left_in r in
             let sr = Rectype.match_score right_in r in
             let branch =
@@ -250,9 +270,7 @@ let rec build eng path net ~down : target =
               | None, Some _ -> cr
               | Some a, Some b -> if a >= b then cl else cr
             in
-            Streams.Actors.send branch (Data (meta, r))
-      in
-      Streams.Actors.spawn eng.sys ~name:(path ^ "/choice") handler
+            send branch meta r)
   | Net.Split { body; tag; det } ->
       let region = if det then Some (new_region eng) else None in
       let merge_down =
@@ -260,37 +278,33 @@ let rec build eng path net ~down : target =
         | Some rg -> make_collector eng ~name:(path ^ "/split-col") rg ~down
         | None -> down
       in
-      let replicas : (int, target) Hashtbl.t = Hashtbl.create 8 in
+      let replicas : target Int_map.t Atomic.t = Atomic.make Int_map.empty in
+      let lock = Mutex.create () in
       let replica_for v =
-        match Hashtbl.find_opt replicas v with
-        | Some t -> t
-        | None ->
+        find_or_build lock
+          ~find:(fun () -> Int_map.find_opt v (Atomic.get replicas))
+          ~build:(fun () ->
             let t =
               build eng
                 (Printf.sprintf "%s/split[%s=%d]" path tag v)
                 body ~down:merge_down
             in
-            Hashtbl.add replicas v t;
+            Atomic.set replicas (Int_map.add v t (Atomic.get replicas));
             Stats.record_split_replica eng.istats;
-            t
+            t)
       in
       List.iter
         (fun v -> ignore (replica_for v))
         (Netstate.split_tags eng.restore path);
       reg_split eng path (fun () ->
-          Hashtbl.fold (fun v _ acc -> v :: acc) replicas []);
-      let handler = function
-        | Complete _ -> stray path
-        | Data (meta, r) when Supervise.is_error r ->
+          Int_map.fold (fun v _ acc -> v :: acc) (Atomic.get replicas) []);
+      Route
+        (fun meta r ->
+          if Supervise.is_error r then
             (* Straight to the merge point: an error record may well
                lack the routing tag. *)
-            let meta =
-              match region with
-              | None -> meta
-              | Some rg -> Detmerge.stamp rg meta
-            in
-            pass_error ~down:merge_down meta r
-        | Data (meta, r) ->
+            pass_error ~down:merge_down (stamp_entry region meta) r
+          else
             let v =
               match Record.tag tag r with
               | Some v -> v
@@ -301,14 +315,7 @@ let rec build eng path net ~down : target =
                           (Record.to_string r) tag path))
             in
             let replica = replica_for v in
-            let meta =
-              match region with
-              | None -> meta
-              | Some rg -> Detmerge.stamp rg meta
-            in
-            Streams.Actors.send replica (Data (meta, r))
-      in
-      Streams.Actors.spawn eng.sys ~name:(path ^ "/split") handler
+            send replica (stamp_entry region meta) r)
   | Net.Star { body; exit; det } ->
       let region = if det then Some (new_region eng) else None in
       let exit_target =
@@ -322,45 +329,37 @@ let rec build eng path net ~down : target =
       (* Tap [d] sits before replica [d+1]; tap 0 is the star's entry
          and, for a deterministic star, the region entry. *)
       let rec make_tap d : target =
-        let tap_path = Printf.sprintf "%s/star@%d" path d in
-        let next_stage : target option ref = ref None in
+        let next_stage : target option Atomic.t = Atomic.make None in
+        let lock = Mutex.create () in
         let force_stage () =
-          match !next_stage with
-          | Some s -> s
-          | None ->
+          find_or_build lock
+            ~find:(fun () -> Atomic.get next_stage)
+            ~build:(fun () ->
               let next_tap = make_tap (d + 1) in
               let s =
                 build eng
                   (Printf.sprintf "%s/stage@%d" path (d + 1))
                   body ~down:next_tap
               in
-              next_stage := Some s;
+              Atomic.set next_stage (Some s);
               Mutex.lock eng.imutex;
               if d + 1 > !depth then depth := d + 1;
               Mutex.unlock eng.imutex;
               Stats.record_star_stage eng.istats ~depth:(d + 1);
               Obsv.Probe.star_depth ~depth:(d + 1);
-              s
+              s)
         in
-        let handler = function
-          | Complete _ -> stray tap_path
-          | Data (meta, r) ->
-              let meta =
-                match region with
-                | Some rg when d = 0 -> Detmerge.stamp rg meta
-                | _ -> meta
-              in
-              (* An error record exits at the next tap; looping it back
-                 through the body would unfold stages forever. *)
-              if Supervise.is_error r || Pattern.matches exit r then
-                Streams.Actors.send exit_target (Data (meta, r))
-              else Streams.Actors.send (force_stage ()) (Data (meta, r))
-        in
-        let tap = Streams.Actors.spawn eng.sys ~name:tap_path handler in
         (* Restored unfolding: build the recorded stages eagerly so
            the sync cells inside them exist to receive their state. *)
         if restore_depth > d then ignore (force_stage ());
-        tap
+        Route
+          (fun meta r ->
+            let meta = if d = 0 then stamp_entry region meta else meta in
+            (* An error record exits at the next tap; looping it back
+               through the body would unfold stages forever. *)
+            if Supervise.is_error r || Pattern.matches exit r then
+              send exit_target meta r
+            else send (force_stage ()) meta r)
       in
       make_tap 0
 
@@ -411,7 +410,17 @@ let start ?pool ?exec ?batch ?mailbox ?observer ?on_output ?stats ?supervision
               eng.results <- r :: eng.results;
               Mutex.unlock eng.imutex)
   in
-  eng.entry <- Some (build eng "" net ~down:results_actor);
+  let entry =
+    match build eng "" net ~down:(Actor results_actor) with
+    | Actor a -> a
+    | Route f ->
+        (* A routing root still gets one entry actor: [feed] only
+           enqueues, and a [Route_error] surfaces from [finish]. *)
+        Streams.Actors.spawn sys ~name:"/entry" (function
+          | Complete _ -> stray "/entry"
+          | Data (meta, r) -> f meta r)
+  in
+  eng.entry <- Some entry;
   eng
 
 let feed eng r =

@@ -1,10 +1,17 @@
 (** Concurrent engine: networks as actor graphs over a domain pool.
 
-    Every component instance — box, filter, dispatcher, star tap —
-    becomes an actor ({!Streams.Actors}); serial replicators unfold
-    into new pipeline stages and parallel replicators into new replicas
-    {e lazily}, when the first record demands them, exactly as the
-    paper describes the demand-driven unfolding of [**] and [!!].
+    Boxes, filters, sync cells and the collectors of deterministic
+    regions are actors ({!Streams.Actors}), as are the global output
+    and, when the network's root is a routing node, one entry actor.
+    Routing nodes — choice and split dispatchers, star taps and
+    [Observe] wrappers — only route records, so they are not actors:
+    they run inline on the sending thread, and a record crossing one
+    pays no mailbox or pool task. Per-edge mailbox metrics therefore
+    name actors only. Serial replicators unfold into new pipeline
+    stages and parallel replicators into new replicas {e lazily}, when
+    the first record demands them, exactly as the paper describes the
+    demand-driven unfolding of [**] and [!!]; under concurrent senders
+    each stage and replica is built exactly once.
 
     {2 Determinism}
 
@@ -83,7 +90,9 @@ val finish : instance -> Record.t list
     processed) and return the output records produced since the
     previous [finish] (or since {!start}), in arrival order at the
     global output stream. Re-raises the first component exception, if
-    any. May be called repeatedly, with more {!feed}s in between; each
+    any, routing nodes' included ([Errors.Route_error], or an
+    [Observe] wrapper's observer raising): {!feed} never runs a
+    routing node itself. May be called repeatedly, with more {!feed}s in between; each
     call hands back only its own delta, so its cost is proportional to
     that delta, not to the stream so far. Returns [[]] on an instance
     started with [on_output]. *)

@@ -105,22 +105,27 @@ let parallel_cutoff = 512
 (* ------------------------------------------------------------------ *)
 (* The stride odometer: the one executor behind every with-loop form.
 
-   [walk ?shape g klo khi f init] folds [f] over the grid points
-   [klo, khi) of [g] in row-major order: [f idx off acc]. [idx] is the
-   point's coordinates in ONE scratch vector for the whole call — the
-   body sees it only for the duration of its call (the .mli documents
-   this). [off] is the point's row-major offset in [shape] (without
-   [~shape], in the box of extents [limit g d], which a fold ignores).
+   [walk ?shape g klo khi run init] hands the grid points [klo, khi) of
+   [g] to [run] in row-major order, one run at a time along [a], the
+   innermost axis with more than one point (axes after it hold a single
+   point and never move: addNumber's row and column generators have a
+   last-axis extent of 1). [run idx a st off dl len acc] covers [len]
+   (>= 1) points: [idx] holds the run's first point and [off] its
+   row-major offset in [shape] (without [~shape], in the box of extents
+   [limit g d], which a fold ignores). The form's own loop evaluates
+   its body at [idx], then for each further point adds [st] to
+   [idx.(a)] and [dl] to the offset, so a body is called directly, with
+   no per-point wrapper in between. A one-point run never touches
+   [idx.(a)]; that is what lets a rank-0 generator pass [a = 0].
 
-   The innermost axis with more than one point runs as a tight loop
-   that adds one step to the coordinate and [step * stride] to the
-   offset; axes after it hold a single point and never move
-   (addNumber's row and column generators have a last-axis extent of
-   1). At the end of a run the axes before it advance odometer-style,
+   [idx] is ONE scratch vector for the whole call — the body sees it
+   only for the duration of its call (the .mli documents this). Between
+   runs the odometer rewinds axis [a] and advances the axes before it,
    their strides accumulated on the way out. After the first point no
    division, allocation or bounds walk happens per element, and the
-   accumulator is a local, so folding costs no write barrier. *)
-let walk ?shape g klo khi f init =
+   accumulator is a local, so folding costs no write barrier. A chunk
+   [klo, khi) may start and end mid-run. *)
+let walk ?shape g klo khi run init =
   let extent d = match shape with Some s -> s.(d) | None -> limit g d in
   let acc = ref init in
   if klo < khi then begin
@@ -148,23 +153,19 @@ let walk ?shape g klo khi f init =
       stride := !stride * extent d;
       k := !k / n
     done;
-    if r = 0 then acc := f idx 0 !acc
+    if r = 0 then acc := run idx 0 0 0 0 1 !acc
     else begin
       let n = count g a and st = step g a in
       let dl = st * !stride_a in
       let k = ref klo in
       while !k < khi do
-        let run = if n - !q < khi - !k then n - !q else khi - !k in
-        for _ = 1 to run do
-          acc := f idx !off !acc;
-          idx.(a) <- idx.(a) + st;
-          off := !off + dl
-        done;
-        k := !k + run;
-        q := !q + run;
-        if !q = n then begin
+        let len = Int.min (n - !q) (khi - !k) in
+        acc := run idx a st !off dl len !acc;
+        k := !k + len;
+        if !k < khi then begin
+          (* The run reached the end of axis [a]. *)
           idx.(a) <- lower g a;
-          off := !off - (n * dl);
+          off := !off - (!q * dl);
           q := 0;
           let d = ref (a - 1) and stride = ref (!stride_a * extent a) in
           while !d >= 0 do
@@ -199,8 +200,16 @@ let use_pool pool n =
 (* Evaluate grid points [from, size g) of [g] into [data], laid out
    row-major in [shape]. *)
 let fill ?pool ~shape data g body from =
-  let write idx off () = data.(off) <- body idx in
-  let chunk lo hi = walk ~shape g lo hi write () in
+  let run idx a st off dl len () =
+    data.(off) <- body idx;
+    let off = ref off in
+    for _ = 2 to len do
+      idx.(a) <- idx.(a) + st;
+      off := !off + dl;
+      data.(!off) <- body idx
+    done
+  in
+  let chunk lo hi = walk ~shape g lo hi run () in
   let n = generator_size g in
   match use_pool pool n with
   | Some pool ->
@@ -243,9 +252,15 @@ let fold ?pool ~neutral ~combine parts =
     let n = generator_size g in
     if n = 0 then acc
     else
-      let chunk init lo hi =
-        walk g lo hi (fun idx _ a -> combine a (body idx)) init
+      let run idx a st _ _ len acc =
+        let acc = ref (combine acc (body idx)) in
+        for _ = 2 to len do
+          idx.(a) <- idx.(a) + st;
+          acc := combine !acc (body idx)
+        done;
+        !acc
       in
+      let chunk init lo hi = walk g lo hi run init in
       match use_pool pool n with
       | Some pool ->
           combine acc

@@ -19,9 +19,11 @@
     the calls of one execution chunk — it is valid only for the
     duration of the call, a body must not modify it, and a body that
     wants to retain it must copy it. (Every form runs on one stride
-    odometer that advances the index vector and the result buffer's
-    flat offset together, for unit-step and strided generators
-    alike.) *)
+    odometer, for unit-step and strided generators alike. It hands the
+    form whole runs along the innermost moving axis — the run's first
+    point, its flat offset in the result, the offset step and the
+    length — and the form's own loop calls the body at each point,
+    advancing the index vector and the offset together.) *)
 
 type generator
 (** A rectangular index set [lower <= iv < upper], optionally strided. *)

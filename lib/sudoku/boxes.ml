@@ -45,7 +45,9 @@ let compute_opts ?pool () =
    constrained free cell; call [child] for each new (board, opts)
    state, stopping the loop once a placement completes the board, as
    the paper's for-loop guard does. [completed] handles an input board
-   that is already solved. *)
+   that is already solved. As in the mini-SaC [solveOneLevel(K)]
+   (lib/saclang/sac_sudoku.ml), each child's [isCompleted] is evaluated
+   once: [child ~completed] gets the value that also stops the loop. *)
 let one_level ?pool ~completed ~child board opts =
   if Rules.is_completed ?pool board then completed board opts
   else if not (Rules.is_stuck ?pool board opts) then begin
@@ -60,8 +62,9 @@ let one_level ?pool ~completed ~child board opts =
             let board', opts' =
               Rules.add_number ?pool ~i ~j ~k mem_board mem_opts
             in
-            child ~k board' opts';
-            if Rules.is_completed ?pool board' then continue_loop := false
+            let completed = Rules.is_completed ?pool board' in
+            child ~completed ~k board' opts';
+            if completed then continue_loop := false
           end
         done
   end
@@ -74,9 +77,8 @@ let solve_one_level ?pool () =
       let board, opts = project_board_opts "solveOneLevel" args in
       one_level ?pool
         ~completed:(fun b _ -> emit 2 [ board_arg b; Box.Tag 1 ])
-        ~child:(fun ~k:_ b o ->
-          if Rules.is_completed ?pool b then
-            emit 2 [ board_arg b; Box.Tag 1 ]
+        ~child:(fun ~completed ~k:_ b o ->
+          if completed then emit 2 [ board_arg b; Box.Tag 1 ]
           else emit 1 [ board_arg b; opts_arg o ])
         board opts)
 
@@ -89,9 +91,8 @@ let solve_one_level_k ?pool () =
       let board, opts = project_board_opts "solveOneLevelK" args in
       one_level ?pool
         ~completed:(fun b _ -> emit 2 [ board_arg b; Box.Tag 1 ])
-        ~child:(fun ~k b o ->
-          if Rules.is_completed ?pool b then
-            emit 2 [ board_arg b; Box.Tag 1 ]
+        ~child:(fun ~completed ~k b o ->
+          if completed then emit 2 [ board_arg b; Box.Tag 1 ]
           else emit 1 [ board_arg b; opts_arg o; Box.Tag k ])
         board opts)
 
@@ -105,7 +106,7 @@ let solve_one_level_level ?pool () =
         ~completed:(fun b o ->
           emit 1
             [ board_arg b; opts_arg o; Box.Tag 0; Box.Tag (Board.count_filled b) ])
-        ~child:(fun ~k b o ->
+        ~child:(fun ~completed:_ ~k b o ->
           emit 1
             [ board_arg b; opts_arg o; Box.Tag k; Box.Tag (Board.count_filled b) ])
         board opts)

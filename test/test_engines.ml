@@ -245,6 +245,117 @@ let test_conc_box_failure () =
         (try ignore (Conc_e.run ~pool (Net.box bomb) (xs_in [ 1; 2; 3 ])); false
          with Boom -> true))
 
+(* Records no routing node can take. The admission check in [feed]
+   ({!Typecheck.flow}) is exact ("flow acceptance = engine acceptance"
+   in test_random_nets), so a record that matches neither branch of a
+   choice, or lacks a split's tag, is refused there, at the root and in
+   the middle of a pipeline alike, and never reaches the node. What
+   does reach a choice or split is its exception path: an [Observe]
+   wrapper's observer raising. Routing nodes run on the sending thread,
+   yet [feed] only enqueues (a routing root gets an entry actor), and
+   the exception surfaces from [finish]. *)
+exception Observed
+
+let test_conc_unroutable_record () =
+  let negate =
+    Box.make ~name:"negate" ~input:[ T "x"; T "neg" ] ~outputs:[ [ T "x" ] ]
+      (fun ~emit -> function
+        | [ Tag x; Tag _ ] -> emit 1 [ Tag (-x) ]
+        | _ -> assert false)
+  in
+  let with_z =
+    Box.make ~name:"withZ" ~input:[ T "x"; T "z" ] ~outputs:[ [ T "x" ] ]
+      (fun ~emit -> function
+        | [ Tag x; Tag _ ] -> emit 1 [ Tag x ]
+        | _ -> assert false)
+  in
+  let nodes =
+    [
+      ("choice", Net.choice (Net.box negate) (Net.box with_z), fun x ->
+        record ~f:[] ~t:[ ("x", x); ("neg", 1) ]);
+      ("split", Net.split (Net.box inc) "k", fun x ->
+        record ~f:[] ~t:[ ("x", x); ("k", 0) ]);
+    ]
+  in
+  (* Where the node sits, and the input x that reaches it as 13. *)
+  let places =
+    [ ("at root", Fun.id, 13); ("mid-pipeline", Net.serial (Net.box inc), 12) ]
+  in
+  (* The observer raises inside the node's [Observe] wrapper, on x = 13
+     only. *)
+  let observer ~edge r =
+    if Filename.basename edge = "probe" && Record.tag "x" r = Some 13 then
+      raise Observed
+  in
+  with_pool 2 (fun pool ->
+      List.iter
+        (fun (node, routing, routable) ->
+          List.iter
+            (fun (place, wrap, x13) ->
+              let label = node ^ " " ^ place in
+              let net = wrap routing in
+              let inst = Conc_e.start ~pool net in
+              Alcotest.(check bool) (label ^ ": feed refuses {<x>}") true
+                (try Conc_e.feed inst (record ~f:[] ~t:[ ("x", 1) ]); false
+                 with Snet.Typecheck.Type_error _ -> true);
+              Conc_e.feed inst (routable 1);
+              Alcotest.(check (list int)) (label ^ ": a routable record runs")
+                (tags_of "x" (Seq_e.run net [ routable 1 ]))
+                (tags_of "x" (Conc_e.finish inst));
+              let inst =
+                Conc_e.start ~pool ~observer (wrap (Net.observe "probe" routing))
+              in
+              Conc_e.feed inst (routable 1);
+              Conc_e.feed inst (routable x13);
+              Alcotest.(check bool) (label ^ ": finish raises, feed did not")
+                true
+                (try ignore (Conc_e.finish inst); false with Observed -> true))
+            places)
+        nodes)
+
+(* Many records reach the same new star tap and split replica at the
+   same moment: in each stage the split's sixteen replicas run on three
+   domains, each box call busy for 50 us so that they overlap, and all
+   send into the next tap, which has no stage yet. Every stage and
+   replica must still be built exactly once, so the unfolding counters
+   equal the reference's. Later rounds, with every domain awake, are
+   the ones that race. *)
+let test_conc_lazy_unfolding_once () =
+  let busy_countdown =
+    Box.make ~name:"busyCountdown" ~input:[ T "x" ]
+      ~outputs:[ [ T "x" ]; [ T "x"; T "done" ] ]
+      (fun ~emit -> function
+        | [ Tag x ] ->
+            let until = Unix.gettimeofday () +. 50e-6 in
+            while Unix.gettimeofday () < until do
+              ()
+            done;
+            if x <= 0 then emit 2 [ Tag 0; Tag 1 ] else emit 1 [ Tag (x - 1) ]
+        | _ -> assert false)
+  in
+  let net = Net.star (Net.split (Net.box busy_countdown) "k") done_pattern in
+  let inputs =
+    List.init 32 (fun i -> record ~f:[] ~t:[ ("x", 6); ("k", i mod 16) ])
+  in
+  let unfolding stats =
+    let s = Snet.Stats.snapshot stats in
+    Snet.Stats.(s.star_stages, s.split_replicas, s.max_star_depth)
+  in
+  let sorted out = List.sort compare (List.map Record.to_string out) in
+  let seq_stats = Snet.Stats.create () in
+  let expected = sorted (Seq_e.run ~stats:seq_stats net inputs) in
+  let expected_unfolding = unfolding seq_stats in
+  with_pool 3 (fun pool ->
+      for round = 1 to 60 do
+        let stats = Snet.Stats.create () in
+        let got = sorted (Conc_e.run ~pool ~stats net inputs) in
+        let label = Printf.sprintf "round %d" round in
+        Alcotest.(check (list string)) (label ^ ": same multiset") expected got;
+        Alcotest.(check (triple int int int))
+          (label ^ ": stages, replicas, depth = reference")
+          expected_unfolding (unfolding stats)
+      done)
+
 let test_conc_feed_finish_cycles () =
   with_pool 2 (fun pool ->
       let inst = Conc_e.start ~pool (Net.box inc) in
@@ -377,6 +488,9 @@ let suite =
     Alcotest.test_case "conc: nondet multiset" `Quick test_conc_nondet_multiset;
     Alcotest.test_case "conc: star stats" `Quick test_conc_star_unfolding_stats;
     Alcotest.test_case "conc: box failure" `Quick test_conc_box_failure;
+    Alcotest.test_case "conc: unroutable record" `Quick test_conc_unroutable_record;
+    Alcotest.test_case "conc: lazy unfolding built once" `Quick
+      test_conc_lazy_unfolding_once;
     Alcotest.test_case "conc: feed/finish cycles" `Quick test_conc_feed_finish_cycles;
     Alcotest.test_case "conc: on_output retains nothing" `Quick
       test_conc_on_output_retains_nothing;

@@ -185,13 +185,14 @@ let test_genarray_init_large () =
    Fold's reference sums each part's member values the same way. *)
 let reference_paint init parts =
   let shape = Nd.shape init in
-  List.fold_left
-    (fun a (g, body) ->
-      let a = ref a in
+  let data = Nd.to_flat_array init in
+  List.iter
+    (fun (g, body) ->
       Sacarray.Shape.iter shape (fun iv ->
-          if WL.generator_mem g iv then a := Nd.set !a iv (body iv));
-      !a)
-    init parts
+          if WL.generator_mem g iv then
+            data.(Sacarray.Shape.ravel shape iv) <- body iv))
+    parts;
+  Nd.of_array shape data
 
 let reference_fold shape parts =
   List.fold_left
@@ -205,20 +206,19 @@ let reference_fold shape parts =
 (* A body whose value depends on the salt and every coordinate. *)
 let salted salt iv = Array.fold_left (fun acc i -> (acc * 13) + i) salt iv
 
-(* Random rank-0..4 shapes with 1..3 random sub-box parts, each with
-   random (possibly unit) steps. A third of the parts have a last-axis
-   extent of 1, the shape of addNumber's row and column generators;
-   some parts are empty. *)
-let gen_shape_parts =
+(* A random shape from [gen_shape] with 1..3 random sub-box parts, each
+   with random (possibly unit) steps; [bounds s] draws a part's
+   [lo, hi) along an axis of extent [s]. A third of the parts have a
+   last-axis extent of 1, the shape of addNumber's row and column
+   generators; some parts are empty. *)
+let gen_parts gen_shape bounds =
   QCheck.Gen.(
-    int_range 0 4 >>= fun rank ->
-    array_repeat rank (int_range 1 6) >>= fun shape ->
+    gen_shape >>= fun shape ->
+    let rank = Array.length shape in
     let gen_part =
       let dim ~flat i =
-        int_range 0 (shape.(i) - 1) >>= fun lo ->
-        (if flat then return (lo + 1) else int_range lo shape.(i))
-        >>= fun hi ->
-        int_range 1 3 >|= fun st -> (lo, hi, st)
+        bounds shape.(i) >>= fun (lo, hi) ->
+        int_range 1 3 >|= fun st -> (lo, (if flat then lo + 1 else hi), st)
       in
       int_range 0 2 >>= fun flat ->
       flatten_l
@@ -233,6 +233,24 @@ let gen_shape_parts =
     int_range 1 3 >>= fun nparts ->
     list_repeat nparts gen_part >|= fun parts -> (shape, parts))
 
+(* Rank-0..4 shapes of extent 1..6; parts anywhere inside. *)
+let gen_shape_parts =
+  QCheck.Gen.(
+    gen_parts
+      (int_range 0 4 >>= fun rank -> array_repeat rank (int_range 1 6))
+      (fun s -> int_range 0 (s - 1) >>= fun lo -> int_range lo s >|= fun hi -> (lo, hi)))
+
+(* Rank-2..4 shapes of 512 to 6561 points; parts start within two of
+   the low edge and end within two of the high edge, so with steps of
+   1..3 their sizes straddle the 512-point parallel cutoff. *)
+let gen_shape_parts_large =
+  QCheck.Gen.(
+    gen_parts
+      (int_range 2 4 >>= fun rank ->
+       let lo, hi = match rank with 2 -> (24, 64) | 3 -> (8, 16) | _ -> (5, 9) in
+       array_repeat rank (int_range lo hi))
+      (fun s -> pair (int_range 0 2) (int_range (s - 2) s)))
+
 let forms_agree ?pool (shape, parts) =
   let src = Nd.init shape (fun iv -> Array.fold_left ( - ) 7 iv) in
   Nd.equal Int.equal
@@ -244,6 +262,19 @@ let forms_agree ?pool (shape, parts) =
 let prop_forms_agree =
   QCheck.Test.make ~name:"forms match a per-index reference" ~count:100
     (QCheck.make gen_shape_parts) (fun case -> forms_agree case)
+
+(* The same property on a 2-domain pool, with parts on both sides of
+   the parallel cutoff: the pool chunks the larger ones, so chunks
+   start mid-run on random strided generators. *)
+let prop_forms_agree_pool =
+  QCheck.Test.make ~name:"forms match a per-index reference on a pool"
+    ~count:40
+    (QCheck.make gen_shape_parts_large)
+    (fun case ->
+      let pool = Scheduler.Pool.create ~num_domains:2 () in
+      Fun.protect
+        ~finally:(fun () -> Scheduler.Pool.shutdown pool)
+        (fun () -> forms_agree ~pool case))
 
 (* Above the 512-point parallel cutoff on a 2-domain pool (the dense
    and strided parts have 1680 and 840 points): the odometer starts
@@ -319,4 +350,5 @@ let suite =
     Seeded.to_alcotest prop_genarray_matches_init;
     Seeded.to_alcotest prop_later_generator_wins;
     Seeded.to_alcotest prop_forms_agree;
+    Seeded.to_alcotest prop_forms_agree_pool;
   ]
