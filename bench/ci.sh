@@ -100,12 +100,12 @@ echo "== distribution smoke =="
 # amortized bar (<= 5us/record at batch >= 8), recorded into
 # BENCH_dist.json. Tops off with two real multi-process solves: one
 # with default envelope batching, one with batching forced off
-# (SNET_DIST_BATCH=1) so the unbatched protocol path stays exercised.
+# (--dist-batch 1) so the unbatched protocol path stays exercised.
 dune build @dist-smoke
 ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy --workers 2 \
   > /dev/null
-SNET_DIST_BATCH=1 ./_build/default/bin/snet_sudoku.exe --network fig2 \
-  --puzzle easy --workers 2 > /dev/null
+./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy --workers 2 \
+  --dist-batch 1 > /dev/null
 
 echo "== serving smoke =="
 # Socket-gated serve tests (the EINTR transport regression, real-TCP

@@ -20,7 +20,7 @@ let run spec domains port http_port max_sessions credits batch idle metrics
      someone blocks in [finish]. *)
   let pool = Some (Scheduler.Pool.create ~num_domains:(max 1 domains) ()) in
   let batch =
-    match Dist.Engine_dist.batch_of_string (string_of_int batch) with
+    match Dist.Engine_dist.validate_batch batch with
     | Ok b -> b
     | Error e ->
         Printf.eprintf "snet_serve: --batch: %s\n%!" e;

@@ -190,20 +190,14 @@ let run_solver kind engine det throttle cutoff domains workers dist_batch
                      (Dist.Plan.contiguous ~parts:workers ~weights)
                      net)
             | _ -> ());
-            (* 0 defers to SNET_DIST_BATCH/the default; anything else
-               must be a valid cap — a typo like -3 or garbage in a
-               wrapper script should fail loudly, not silently run
-               unbatched. *)
+            (* An invalid cap (0, -3 in a wrapper script) fails
+               loudly instead of silently running unbatched. *)
             let batch =
-              if dist_batch = 0 then None
-              else
-                match
-                  Dist.Engine_dist.batch_of_string (string_of_int dist_batch)
-                with
-                | Ok b -> Some b
-                | Error e ->
-                    prerr_endline ("snet-sudoku: --dist-batch: " ^ e);
-                    exit 2
+              match Dist.Engine_dist.validate_batch dist_batch with
+              | Ok b -> b
+              | Error e ->
+                  prerr_endline ("snet-sudoku: --dist-batch: " ^ e);
+                  exit 2
             in
             let balancer = ref None in
             let on_handle =
@@ -242,7 +236,7 @@ let run_solver kind engine det throttle cutoff domains workers dist_batch
                 (fun () ->
                   Dist.Engine_dist.run_spawned
                     ~worker_exe:(find_worker_exe ()) ~spec ~workers ~stats
-                    ?supervision ?crash_after:kill_worker ?batch ?collector
+                    ?supervision ?kill_worker ~batch ?collector
                     ?plan ?on_handle
                     ~worker_args:[ "--domains"; string_of_int domains ]
                     net inputs)
@@ -375,12 +369,13 @@ let cmd =
   in
   let dist_batch =
     Arg.(
-      value & opt int 0
+      value
+      & opt int Dist.Engine_dist.default_batch
       & info [ "dist-batch" ]
           ~doc:
             "Cut-edge batching cap for --workers: up to $(docv) records \
-             per envelope (1 disables batching). 0 defers to \
-             SNET_DIST_BATCH or the built-in default." ~docv:"N")
+             per envelope (1 disables batching; larger than 4096 is \
+             clamped)." ~docv:"N")
   in
   let kill_worker =
     Arg.(

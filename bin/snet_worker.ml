@@ -20,7 +20,7 @@ let endpoint_conv =
   Arg.conv
     (parse_endpoint, fun fmt (h, p) -> Format.fprintf fmt "%s:%d" h p)
 
-let run_worker (host, port) domains journal report_every throttle_us =
+let run_worker (host, port) domains journal =
   Sudoku.Netspec.register_codecs ();
   let pool = Scheduler.Pool.create ~num_domains:domains () in
   let tap =
@@ -47,7 +47,7 @@ let run_worker (host, port) domains journal report_every throttle_us =
         (Printexc.to_string e);
       exit 1
   in
-  Dist.Engine_dist.serve ~pool ?tap ~report_every ?throttle_us ~conn
+  Dist.Engine_dist.serve ~pool ?tap ~conn
     ~resolve:(fun spec -> Sudoku.Netspec.resolve ~pool spec)
     ();
   Scheduler.Pool.shutdown pool
@@ -74,29 +74,9 @@ let cmd =
             "Journal every consumed input record under $(docv) (one \
              Input entry per record on this worker's cut edge).")
   in
-  let report_every =
-    Arg.(
-      value & opt float 0.5
-      & info [ "report-every" ] ~docv:"SECONDS"
-          ~doc:
-            "Interval between metrics reports shipped to the \
-             coordinator when it requests observability in its Hello \
-             (<= 0 keeps only the initial and final reports).")
-  in
-  let throttle_us =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "throttle-us" ] ~docv:"MICROS"
-          ~doc:
-            "Delay every consumed record by $(docv) microseconds — \
-             skew injection for rebalancing demos and benchmarks.")
-  in
   Cmd.v
     (Cmd.info "snet-worker"
        ~doc:"S-Net partition worker (spawned by the coordinator)")
-    Term.(
-      const run_worker $ connect $ domains $ journal $ report_every
-      $ throttle_us)
+    Term.(const run_worker $ connect $ domains $ journal)
 
 let () = exit (Cmd.eval cmd)

@@ -5,97 +5,22 @@ let rec segments = function
   | Snet.Net.Serial (a, b) -> segments a @ segments b
   | other -> [ other ]
 
-let partition ~parts net =
-  if parts <= 0 then invalid_arg "Engine_dist.partition: parts must be positive";
-  let segs = Array.of_list (segments net) in
-  let n = Array.length segs in
-  let k = min parts n in
-  let w = Array.map (fun s -> max 1 (Snet.Net.count_boxes s)) segs in
-  let total = Array.fold_left ( + ) 0 w in
-  let groups = ref [] in
-  let i = ref 0 and remaining = ref total in
-  for g = 0 to k - 1 do
-    let groups_left = k - g in
-    let target = float_of_int !remaining /. float_of_int groups_left in
-    (* leave at least one segment for every later group *)
-    let limit = if g = k - 1 then n else n - (groups_left - 1) in
-    let acc = ref [] and accw = ref 0 in
-    while
-      !i < limit
-      && (!acc = []
-         || g = k - 1
-         || float_of_int !accw +. (float_of_int w.(!i) /. 2.) <= target)
-    do
-      acc := segs.(!i) :: !acc;
-      accw := !accw + w.(!i);
-      incr i
-    done;
-    remaining := !remaining - !accw;
-    groups := List.rev !acc :: !groups
-  done;
-  (* [groups] was built by prepending, so rev_map restores order. *)
-  List.rev_map Snet.Net.serial_list !groups
-
 (* ------------------------------------------------------------------ *)
 (* Batching                                                            *)
 
 (* Cut-edge envelope cap: how many records one Data_batch may carry.
-   1 disables batching (plain Data frames both ways). The env knob is
-   what bench/ci.sh uses to exercise both paths. *)
+   1 disables batching (plain Data frames both ways). *)
 let min_batch = 1
 let max_batch = 4096
 let default_batch = 64
 
-let batch_of_string s =
-  match int_of_string_opt (String.trim s) with
-  | None ->
-      Error
-        (Printf.sprintf "invalid batch %S: expected an integer in [%d, %d]" s
-           min_batch max_batch)
-  | Some n when n < min_batch ->
-      Error
-        (Printf.sprintf
-           "invalid batch %d: must be at least %d (1 disables batching)" n
-           min_batch)
-  | Some n -> Ok (min n max_batch)
-
-let env_batch () =
-  match Sys.getenv_opt "SNET_DIST_BATCH" with
-  | Some s -> (
-      match batch_of_string s with
-      | Ok n -> n
-      | Error e -> invalid_arg ("SNET_DIST_BATCH: " ^ e))
-  | None -> default_batch
-
-let resolve_batch = function
-  | Some b -> (
-      match batch_of_string (string_of_int b) with
-      | Ok n -> n
-      | Error e -> invalid_arg ("Engine_dist: " ^ e))
-  | None -> env_batch ()
-
-(* Split [rs] into data messages under the envelope cap: plain Data
-   when the cap (or the run) is 1, Data_batch chunks otherwise. *)
-let data_msgs ~ctx ~batch rs =
-  if batch <= 1 then List.map (fun r -> Proto.encode ~ctx (Proto.Data r)) rs
-  else begin
-    let rec chunks acc = function
-      | [] -> List.rev acc
-      | rs ->
-          let rec take k xs acc =
-            match (k, xs) with
-            | 0, _ | _, [] -> (List.rev acc, xs)
-            | k, x :: xs -> take (k - 1) xs (x :: acc)
-          in
-          let chunk, rest = take batch rs [] in
-          chunks (chunk :: acc) rest
-    in
-    List.map
-      (function
-        | [ r ] -> Proto.encode ~ctx (Proto.Data r)
-        | chunk -> Proto.encode ~ctx (Proto.Data_batch chunk))
-      (chunks [] rs)
-  end
+let validate_batch n =
+  if n < min_batch then
+    Error
+      (Printf.sprintf
+         "invalid batch %d: must be at least %d (1 disables batching)" n
+         min_batch)
+  else Ok (min n max_batch)
 
 (* ------------------------------------------------------------------ *)
 (* Sequence stamping                                                   *)
@@ -121,39 +46,30 @@ exception Crash_injected
 let attempt_send conn msg =
   try Transport.send conn (Proto.encode msg) with _ -> ()
 
-(* The subnet a partition runs, under a placement plan when the Hello
-   carries one (decode already validated plan/parts consistency), or
-   the legacy box-count-balanced contiguous cut otherwise. Both sides
-   derive the layout from the same pure inputs, so coordinator and
-   workers provably agree. *)
-let subnet_for ~plan ~part ~parts net =
-  if plan = "" then begin
-    let segs = partition ~parts net in
-    if List.length segs <> parts then
-      failwith
-        (Printf.sprintf
-           "partition disagreement: coordinator expects %d parts, local \
-            network yields %d"
-           parts (List.length segs));
-    List.nth segs part
-  end
-  else
-    match Plan.decode plan with
-    | Error e -> failwith e
-    | Ok p ->
-        let segs = Array.of_list (segments net) in
-        if Plan.nsegs p <> Array.length segs then
-          failwith
-            (Printf.sprintf
-               "plan disagreement: plan covers %d segments, local network \
-                yields %d"
-               (Plan.nsegs p) (Array.length segs));
-        let lo, hi = Plan.segments_of_part p part in
-        Snet.Net.serial_list
-          (Array.to_list (Array.sub segs lo (hi - lo + 1)))
+(* The subnet a partition runs under the placement plan its Hello
+   carries (decode already validated plan/parts consistency). Both
+   sides derive the layout from the same pure inputs, so coordinator
+   and workers provably agree. A Hello without a plan is refused:
+   Plan.decode rejects the empty string. *)
+let subnet_for ~plan ~part net =
+  match Plan.decode plan with
+  | Error e -> failwith e
+  | Ok p ->
+      let segs = Array.of_list (segments net) in
+      if Plan.nsegs p <> Array.length segs then
+        failwith
+          (Printf.sprintf
+             "plan disagreement: plan covers %d segments, local network \
+              yields %d"
+             (Plan.nsegs p) (Array.length segs));
+      let lo, hi = Plan.segments_of_part p part in
+      Snet.Net.serial_list (Array.to_list (Array.sub segs lo (hi - lo + 1)))
 
-let serve ?pool ?tap ?(report_every = 0.5) ?throttle_us
-    ?(die_in_freeze = false) ~conn ~resolve () =
+(* Seconds between the metrics reports a shipping worker sends. *)
+let report_every = 0.5
+
+let serve ?pool ?tap ?throttle_us ?(die_in_freeze = false) ~conn ~resolve
+    () =
   let cleanup () = Transport.close conn in
   match Transport.recv conn with
   | `Closed -> cleanup ()
@@ -187,8 +103,7 @@ let serve ?pool ?tap ?(report_every = 0.5) ?throttle_us
             try
               let net = resolve h.Proto.spec in
               let subnet =
-                subnet_for ~plan:h.Proto.plan ~part:h.Proto.part
-                  ~parts:h.Proto.parts net
+                subnet_for ~plan:h.Proto.plan ~part:h.Proto.part net
               in
               let supervision =
                 if h.Proto.policy = "" && h.Proto.timeout = None then None
@@ -267,24 +182,23 @@ let serve ?pool ?tap ?(report_every = 0.5) ?throttle_us
               if shipping then begin
                 (try Transport.send conn (report_msg ())
                  with _ -> ());
-                if report_every > 0. then
-                  ignore
-                    (Thread.create
-                       (fun () ->
-                         let slept = ref 0. in
-                         while not (Atomic.get ticker_stop) do
-                           Thread.delay 0.02;
-                           slept := !slept +. 0.02;
-                           if
-                             !slept >= report_every
-                             && not (Atomic.get ticker_stop)
-                           then begin
-                             slept := 0.;
-                             try Transport.send conn (report_msg ())
-                             with _ -> Atomic.set ticker_stop true
-                           end
-                         done)
-                       ())
+                ignore
+                  (Thread.create
+                     (fun () ->
+                       let slept = ref 0. in
+                       while not (Atomic.get ticker_stop) do
+                         Thread.delay 0.02;
+                         slept := !slept +. 0.02;
+                         if
+                           !slept >= report_every
+                           && not (Atomic.get ticker_stop)
+                         then begin
+                           slept := 0.;
+                           try Transport.send conn (report_msg ())
+                           with _ -> Atomic.set ticker_stop true
+                         end
+                       done)
+                     ())
               end;
               (* finish returns only the outputs since the previous
                  finish: ship them as batch-capped envelopes. *)
@@ -299,7 +213,7 @@ let serve ?pool ?tap ?(report_every = 0.5) ?throttle_us
                             ~id:((t * 1024) + (2 * part) + 1)
                       | None -> ())
                     fresh;
-                data_msgs ~ctx ~batch fresh
+                Proto.data_msgs ~ctx ~batch fresh
               in
               let in_edge = Printf.sprintf "dist:w%d.in" part in
               let consume r =
@@ -764,7 +678,7 @@ let pump c i =
         let k = List.length rs in
         if k > 0 then Obsv.Probe.edge_batch ~name:(edge_in i) ~size:k;
         let msgs =
-          data_msgs ~ctx ~batch:c.batch rs
+          Proto.data_msgs ~ctx ~batch:c.batch rs
           @ (if eof then [ Proto.encode Proto.Eof ] else [])
         in
         (try Transport.send_many conn msgs
@@ -772,6 +686,48 @@ let pump c i =
         loop ()
   in
   loop ()
+
+(* Respawn partition [i] and hand the replacement what its
+   predecessor left uncredited: [prefix] first (a migration's
+   [Restore]), then the in-flight records above the watermark, then
+   Eof iff one was already on the old wire — an Eof merely requested
+   stays with the pump, which sends it once pending drains on the
+   fresh connection. In-flight records at or below the watermark are
+   dropped: their outputs came back before the swap, so the old worker
+   provably processed them and only the credit was lost; resending
+   them would deliver their outputs a second time (the crash_flush
+   window). Credits restart at the window minus the resend. [None]
+   when no replacement could be spawned. *)
+let respawn_and_resend c i ~prefix =
+  match c.respawn i with
+  | None -> None
+  | Some conn ->
+      let w = c.ws.(i) in
+      let resend, resend_eof =
+        locked c (fun () ->
+            w.conn <- conn;
+            let keep =
+              List.rev
+                (Queue.fold
+                   (fun acc r ->
+                     match Snet.Record.tag seq_tag r with
+                     | Some s when s <= w.watermark -> acc
+                     | _ -> r :: acc)
+                   [] w.inflight)
+            in
+            Queue.clear w.inflight;
+            List.iter (fun r -> Queue.push r w.inflight) keep;
+            w.credits <- c.init_credits - Queue.length w.inflight;
+            (keep, w.eof_sent))
+      in
+      (* A replacement that dies at once is found by its reader. *)
+      (try
+         Transport.send_many conn
+           (prefix
+           @ Proto.data_msgs ~ctx:(Wire.ctx ()) ~batch:c.batch resend
+           @ if resend_eof then [ Proto.encode Proto.Eof ] else [])
+       with _ -> ());
+      Some conn
 
 (* Route a batch of worker [i]'s outputs on to the next stage, under
    one watermark update for the whole batch: this reader routes the
@@ -913,41 +869,9 @@ and handle_death c i conn reason =
   in
   if not retrying then give_up c i reason
   else
-    match c.respawn i with
+    match respawn_and_resend c i ~prefix:[] with
     | None -> give_up c i reason
     | Some conn' ->
-        let resend, resend_eof =
-          locked c (fun () ->
-              w.conn <- conn';
-              (* Drop in-flight records at or below the watermark:
-                 their outputs came back before the crash, so the dead
-                 worker provably processed them — only the credit was
-                 lost. Resending them would deliver their outputs a
-                 second time (the crash_flush window). Keep the rest
-                 in stamp order. *)
-              let keep =
-                List.rev
-                  (Queue.fold
-                     (fun acc r ->
-                       match Snet.Record.tag seq_tag r with
-                       | Some s when s <= w.watermark -> acc
-                       | _ -> r :: acc)
-                     [] w.inflight)
-              in
-              Queue.clear w.inflight;
-              List.iter (fun r -> Queue.push r w.inflight) keep;
-              w.credits <- c.init_credits - Queue.length w.inflight;
-              (* An Eof already on the dead wire must be replayed; an
-                 Eof merely requested stays with the pump, which sends
-                 it once pending drains on the fresh connection. *)
-              (keep, w.eof_sent))
-        in
-        (try
-           let ctx = Wire.ctx () in
-           Transport.send_many conn'
-             (data_msgs ~ctx ~batch:c.batch resend
-             @ (if resend_eof then [ Proto.encode Proto.Eof ] else []))
-         with _ -> ());
         locked c (fun () ->
             if w.st = Respawning then w.st <- Alive;
             Condition.broadcast c.cv);
@@ -1029,51 +953,22 @@ let coord_migrate c i =
                   Condition.broadcast c.cv);
               Error "run failed during migration"
             end
-        | Some state ->
+        | Some state -> (
             Transport.close old_conn;
-            (match c.respawn i with
+            let prefix =
+              match Statecodec.decode state with
+              | Ok st when Snet.Netstate.is_empty st ->
+                  (* A pristine capture: skip the frame so the fresh
+                     worker's path equals a cold start. *)
+                  []
+              | _ -> [ Proto.encode (Proto.Restore { state }) ]
+            in
+            match respawn_and_resend c i ~prefix with
             | None ->
                 give_up c i "respawn failed during migration";
                 Error "could not spawn a replacement worker"
             | Some conn' ->
-                let resend =
-                  locked c (fun () ->
-                      w.conn <- conn';
-                      (* Same uncredited-suffix rebuild as a crash
-                         respawn; a clean freeze leaves it empty. *)
-                      let keep =
-                        List.rev
-                          (Queue.fold
-                             (fun acc r ->
-                               match Snet.Record.tag seq_tag r with
-                               | Some s when s <= w.watermark -> acc
-                               | _ -> r :: acc)
-                             [] w.inflight)
-                      in
-                      Queue.clear w.inflight;
-                      List.iter (fun r -> Queue.push r w.inflight) keep;
-                      w.credits <- c.init_credits - Queue.length w.inflight;
-                      keep)
-                in
-                let sent =
-                  try
-                    let ctx = Wire.ctx () in
-                    let restore_msgs =
-                      match Statecodec.decode state with
-                      | Ok st when Snet.Netstate.is_empty st ->
-                          (* A pristine capture: skip the frame so the
-                             fresh worker's path equals a cold start. *)
-                          []
-                      | _ -> [ Proto.encode (Proto.Restore { state }) ]
-                    in
-                    Transport.send_many conn'
-                      (restore_msgs @ data_msgs ~ctx ~batch:c.batch resend);
-                    true
-                  with _ -> false
-                in
-                let t =
-                  Thread.create (fun () -> reader c i conn') ()
-                in
+                let t = Thread.create (fun () -> reader c i conn') () in
                 let downtime =
                   locked c (fun () ->
                       c.aux <- t :: c.aux;
@@ -1083,14 +978,9 @@ let coord_migrate c i =
                       Unix.gettimeofday () -. t0)
                 in
                 (match c.collector with
-                | Some col ->
-                    Obsv.Agg.note_migration col ~part:i ~downtime
+                | Some col -> Obsv.Agg.note_migration col ~part:i ~downtime
                 | None -> ());
-                if sent then Ok downtime
-                else
-                  (* The replacement died immediately; its reader picks
-                     up the crash path. The migration itself happened. *)
-                  Ok downtime))
+                Ok downtime))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1258,7 +1148,7 @@ let coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns ~policy
   | None -> List.rev c.outputs_rev
 
 (* ------------------------------------------------------------------ *)
-(* Loopback runner: simulated workers, hermetic and single-process     *)
+(* Launch: one set-up for loopback threads and worker processes        *)
 
 let split_supervision = function
   | None -> (Snet.Supervise.Fail_fast, None, "")
@@ -1279,8 +1169,7 @@ let obsv_flags = function
       in
       if f = 0 then Obsv.Sink.metrics_bit else f
 
-(* The default plan replays the legacy box-count-balanced contiguous
-   cut, so runs without placement hints behave exactly as before. *)
+(* Without a plan, the box-count-balanced contiguous cut. *)
 let resolve_plan ?plan ~workers net =
   let nsegs = List.length (segments net) in
   let plan =
@@ -1296,117 +1185,32 @@ let resolve_plan ?plan ~workers net =
   | Ok () -> plan
   | Error e -> invalid_arg ("Engine_dist: " ^ e)
 
-let run ?pool ?(workers = 2) ?(credits = 32) ?batch ?stats ?supervision
-    ?kill_worker ?(crash_flush = false) ?tap ?collector ?plan ?on_handle
-    ?worker_throttle ?kill_in_freeze net inputs =
-  if credits <= 0 then invalid_arg "Engine_dist.run: credits must be positive";
-  let batch = resolve_batch batch in
+(* The set-up [run] and [run_spawned] share: validate, cut, greet each
+   worker with its Hello, coordinate. [connect i ~first] starts a
+   worker for partition [i] ([first] on its initial spawn, false for a
+   replacement) and returns the coordinator's end of its connection.
+   [spec] is the network name the Hello carries; [coord_pid] is this
+   process's pid when the workers share it, and 0 for separate
+   processes, which then ship full telemetry payloads. [kill_worker]
+   applies to first spawns only, so a replacement runs clean. *)
+let launch ~spec ~coord_pid ~connect ?(workers = 2) ?(credits = 32) ?batch
+    ?stats ?supervision ?kill_worker ?(crash_flush = false) ?tap ?collector
+    ?plan ?on_handle net inputs =
+  if credits <= 0 then invalid_arg "Engine_dist: credits must be positive";
+  let batch =
+    match validate_batch (Option.value batch ~default:default_batch) with
+    | Ok n -> n
+    | Error e -> invalid_arg ("Engine_dist: " ^ e)
+  in
   let plan = resolve_plan ?plan ~workers net in
   let parts = Plan.parts plan in
   let routes = routes_of ~plan net in
   let plan_str = Plan.encode plan in
   let policy, timeout, policy_str = split_supervision supervision in
-  let threads = ref [] and threads_mu = Mutex.create () in
-  (* Fault/skew injection (worker_throttle, kill_in_freeze) applies to
-     the FIRST spawn only: replacements run clean, so recovery and
-     rebalancing are honest. *)
-  let spawn_worker i ~crash_after ~fresh =
-    let a, b = Transport.loopback_pair ~name:(Printf.sprintf "dist:w%d" i) () in
-    let throttle_us =
-      if fresh then None
-      else
-        match worker_throttle with
-        | Some (j, us) when j = i -> Some us
-        | _ -> None
-    in
-    let die_in_freeze = (not fresh) && kill_in_freeze = Some i in
-    let t =
-      Thread.create
-        (fun () ->
-          serve ?pool ?throttle_us ~die_in_freeze ~conn:b
-            ~resolve:(fun _ -> net)
-            ())
-        ()
-    in
-    Mutex.lock threads_mu;
-    threads := t :: !threads;
-    Mutex.unlock threads_mu;
-    (match collector with
-    | Some col -> Obsv.Agg.note_hello col ~part:i
-    | None -> ());
-    Transport.send a
-      (Proto.encode
-         (Proto.Hello
-            {
-              spec = "loopback";
-              part = i;
-              parts;
-              policy = policy_str;
-              timeout;
-              credits;
-              crash_after;
-              crash_flush = crash_flush && crash_after >= 0;
-              batch;
-              obsv = obsv_flags collector;
-              coord_pid = Unix.getpid ();
-              plan = plan_str;
-            }));
-    a
-  in
-  let conns =
-    List.init parts (fun i ->
-        let crash_after =
-          match kill_worker with
-          | Some (j, k) when j = i -> k
-          | _ -> -1
-        in
-        spawn_worker i ~crash_after ~fresh:false)
-  in
-  let respawn i =
-    match spawn_worker i ~crash_after:(-1) ~fresh:true with
-    | conn -> Some conn
-    | exception _ -> None
-  in
-  Fun.protect
-    ~finally:(fun () -> List.iter Thread.join !threads)
-    (fun () ->
-      coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns ~policy
-        ~stats ~credits ~batch ~respawn inputs)
-
-(* ------------------------------------------------------------------ *)
-(* Spawned runner: real worker processes over TCP                      *)
-
-let run_spawned ~worker_exe ~spec ?(host = "127.0.0.1") ?(workers = 2)
-    ?(credits = 32) ?batch ?stats ?supervision ?crash_after
-    ?(crash_flush = false) ?tap ?collector ?plan ?on_handle
-    ?(worker_args = []) net inputs =
-  if credits <= 0 then
-    invalid_arg "Engine_dist.run_spawned: credits must be positive";
-  let batch = resolve_batch batch in
-  let plan = resolve_plan ?plan ~workers net in
-  let parts = Plan.parts plan in
-  let routes = routes_of ~plan net in
-  let plan_str = Plan.encode plan in
-  let policy, timeout, policy_str = split_supervision supervision in
-  let listener = Transport.Tcp.listen ~host () in
-  let port = Transport.Tcp.port listener in
-  let pids = ref [] and pids_mu = Mutex.create () in
-  let spawn_proc () =
-    let argv =
-      Array.of_list
-        ((worker_exe :: "--connect" :: Printf.sprintf "%s:%d" host port
-          :: worker_args))
-    in
-    let pid = Unix.create_process worker_exe argv Unix.stdin Unix.stdout Unix.stderr in
-    Mutex.lock pids_mu;
-    pids := pid :: !pids;
-    Mutex.unlock pids_mu
-  in
-  let greet i ~crash_after =
-    let conn =
-      Transport.erase
-        (module Transport.Tcp)
-        (Transport.Tcp.accept ~timeout_s:30.0 listener)
+  let greet i ~first =
+    let conn = connect i ~first in
+    let crash_after =
+      match kill_worker with Some (j, k) when first && j = i -> k | _ -> -1
     in
     (match collector with
     | Some col -> Obsv.Agg.note_hello col ~part:i
@@ -1425,13 +1229,77 @@ let run_spawned ~worker_exe ~spec ?(host = "127.0.0.1") ?(workers = 2)
               crash_flush = crash_flush && crash_after >= 0;
               batch;
               obsv = obsv_flags collector;
-              (* Spawned workers are separate processes: 0 tells them
-                 the coordinator is remote, so they ship full
-                 payloads. *)
-              coord_pid = 0;
+              coord_pid;
               plan = plan_str;
             }));
     conn
+  in
+  let conns = List.init parts (fun i -> greet i ~first:true) in
+  let respawn i =
+    match greet i ~first:false with conn -> Some conn | exception _ -> None
+  in
+  coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns ~policy
+    ~stats ~credits ~batch ~respawn inputs
+
+(* ------------------------------------------------------------------ *)
+(* Loopback runner: simulated workers, hermetic and single-process     *)
+
+let run ?pool ?workers ?credits ?batch ?stats ?supervision ?kill_worker
+    ?crash_flush ?tap ?collector ?plan ?on_handle ?worker_throttle
+    ?kill_in_freeze net inputs =
+  let threads = ref [] and threads_mu = Mutex.create () in
+  (* Skew and freeze-death injection, like [kill_worker], apply to
+     first spawns only: replacements run clean, so recovery and
+     rebalancing are honest. *)
+  let connect i ~first =
+    let a, b = Transport.loopback_pair ~name:(Printf.sprintf "dist:w%d" i) () in
+    let throttle_us =
+      match worker_throttle with
+      | Some (j, us) when first && j = i -> Some us
+      | _ -> None
+    in
+    let die_in_freeze = first && kill_in_freeze = Some i in
+    let t =
+      Thread.create
+        (fun () ->
+          serve ?pool ?throttle_us ~die_in_freeze ~conn:b
+            ~resolve:(fun _ -> net)
+            ())
+        ()
+    in
+    Mutex.protect threads_mu (fun () -> threads := t :: !threads);
+    a
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Thread.join !threads)
+    (fun () ->
+      launch ~spec:"loopback" ~coord_pid:(Unix.getpid ()) ~connect ?workers
+        ?credits ?batch ?stats ?supervision ?kill_worker ?crash_flush ?tap
+        ?collector ?plan ?on_handle net inputs)
+
+(* ------------------------------------------------------------------ *)
+(* Spawned runner: real worker processes over TCP                      *)
+
+let run_spawned ~worker_exe ~spec ?(host = "127.0.0.1") ?workers ?credits
+    ?batch ?stats ?supervision ?kill_worker ?crash_flush ?tap ?collector ?plan
+    ?on_handle ?(worker_args = []) net inputs =
+  let listener = Transport.Tcp.listen ~host () in
+  let port = Transport.Tcp.port listener in
+  let pids = ref [] and pids_mu = Mutex.create () in
+  (* Workers are assigned partitions in accept order. *)
+  let connect _ ~first:_ =
+    let argv =
+      Array.of_list
+        (worker_exe :: "--connect" :: Printf.sprintf "%s:%d" host port
+       :: worker_args)
+    in
+    let pid =
+      Unix.create_process worker_exe argv Unix.stdin Unix.stdout Unix.stderr
+    in
+    Mutex.protect pids_mu (fun () -> pids := pid :: !pids);
+    Transport.erase
+      (module Transport.Tcp)
+      (Transport.Tcp.accept ~timeout_s:30.0 listener)
   in
   let reap () =
     Transport.Tcp.close_listener listener;
@@ -1454,27 +1322,9 @@ let run_spawned ~worker_exe ~spec ?(host = "127.0.0.1") ?(workers = 2)
           | _ -> wait_all rest
           | exception Unix.Unix_error (ECHILD, _, _) -> wait_all rest)
     in
-    Mutex.lock pids_mu;
-    let ps = !pids in
-    Mutex.unlock pids_mu;
-    wait_all ps
+    wait_all (Mutex.protect pids_mu (fun () -> !pids))
   in
   Fun.protect ~finally:reap (fun () ->
-      let conns =
-        List.init parts (fun i ->
-            spawn_proc ();
-            let ca =
-              match crash_after with Some (j, k) when j = i -> k | _ -> -1
-            in
-            greet i ~crash_after:ca)
-      in
-      let respawn i =
-        match
-          spawn_proc ();
-          greet i ~crash_after:(-1)
-        with
-        | conn -> Some conn
-        | exception _ -> None
-      in
-      coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns
-        ~policy ~stats ~credits ~batch ~respawn inputs)
+      launch ~spec ~coord_pid:0 ~connect ?workers ?credits ?batch ?stats
+        ?supervision ?kill_worker ?crash_flush ?tap ?collector ?plan ?on_handle
+        net inputs)

@@ -6,10 +6,11 @@
     edge replaced by a {!Transport} connection. This engine does
     exactly that:
 
-    - {!partition} flattens the top-level serial spine [A .. B .. C]
-      into contiguous, box-count-balanced subnets (parallel and
+    - {!segments} flattens the top-level serial spine [A .. B .. C];
+      a placement {!Plan} groups the segments into partitions — by
+      default {!Plan.contiguous}, box-count-balanced runs (parallel and
       replication combinators are never split — they stay whole inside
-      one partition);
+      one partition, or are sharded whole by a [Shard] stage);
     - each partition runs on {!Snet.Engine_conc} inside a {e worker}
       (an in-process thread over a {!Transport.Loopback} pair, or a
       real [snet_worker] process over {!Transport.Tcp});
@@ -41,8 +42,8 @@
     amortises away. End-of-stream is two-phase: the pump sends the wire
     [Eof] only after the pending queue drains, and sending it needs no
     credit — so a full window plus an Eof can never park the edge.
-    [batch = 1] (or [SNET_DIST_BATCH=1]) disables batching entirely;
-    the default envelope cap is [SNET_DIST_BATCH] or 64.
+    [batch = 1] disables batching entirely; the default envelope cap
+    is {!default_batch}.
 
     {2 Worker failure}
 
@@ -89,7 +90,7 @@
     shipping: the Hello each worker receives carries the coordinator's
     [Obsv.Sink] flag byte, the worker mirrors those subsystems locally
     and ships [Proto.Metrics_report] frames (immediately after
-    [Hello_ack], every [report_every] seconds, and just before [Done])
+    [Hello_ack], every 0.5 s, and just before [Done])
     plus one [Proto.Trace_chunk] of its retained sink events when
     tracing is on. The coordinator feeds them into the
     [Obsv.Agg.collector] — merged HDR histograms, per-partition
@@ -103,14 +104,11 @@
 
 (** {2 Batch cap validation}
 
-    The cut-edge envelope cap comes from three places — [SNET_DIST_BATCH],
-    [--dist-batch], and the [?batch] arguments below — and all go through
-    {!batch_of_string}: an integer in [[min_batch, max_batch]]; values
-    above [max_batch] are clamped (the documented upper bound), anything
-    below [min_batch] ([0], negatives) and non-integers are rejected with
-    a descriptive message. A malformed [SNET_DIST_BATCH] raises
-    [Invalid_argument] naming the variable instead of silently falling
-    back to the default. *)
+    Every envelope cap — [--dist-batch], [snet_serve --batch], the
+    [?batch] arguments below and [Serve.Server]'s config — goes through
+    {!validate_batch}: values above [max_batch] are clamped (the
+    documented upper bound), anything below [min_batch] ([0],
+    negatives) is rejected with a descriptive message. *)
 
 val min_batch : int
 (** [1] — a cap of 1 disables batching. *)
@@ -119,20 +117,11 @@ val max_batch : int
 (** [4096] — larger requests are clamped here. *)
 
 val default_batch : int
-(** [64] — used when neither env nor argument names a cap. *)
+(** [64] — used when no argument names a cap. *)
 
-val batch_of_string : string -> (int, string) result
-(** Parse and validate a batch cap (see above). *)
-
-val partition : parts:int -> Snet.Net.t -> Snet.Net.t list
-(** Cut the top-level serial spine into at most [parts] contiguous
-    groups, balanced by {!Snet.Net.count_boxes}. Returns fewer groups
-    when the spine has fewer segments than [parts]; the function is
-    stable under re-partitioning: for any [p],
-    [partition ~parts:(List.length (partition ~parts:p net)) net]
-    returns the same list — coordinator and workers can each compute
-    the cut locally and agree.
-    @raise Invalid_argument when [parts <= 0]. *)
+val validate_batch : int -> (int, string) result
+(** Validate a batch cap (see above): [Ok] the cap to use, clamped to
+    [max_batch]. *)
 
 val segments : Snet.Net.t -> Snet.Net.t list
 (** Flatten the top-level serial spine [A .. B .. C] into its
@@ -189,7 +178,6 @@ val handle_finished : handle -> bool
 val serve :
   ?pool:Scheduler.Pool.t ->
   ?tap:(edge:string -> Snet.Record.t -> unit) ->
-  ?report_every:float ->
   ?throttle_us:int ->
   ?die_in_freeze:bool ->
   conn:Transport.conn ->
@@ -204,14 +192,15 @@ val serve :
     always closed on return. [tap] observes every input record this
     worker consumes (edge [dist:wN.in] for partition [N]), before it
     is fed — [snet_worker --journal] hangs its local journal here.
-    When the Hello requests shipping, a metrics report goes out every
-    [report_every] seconds (default [0.5]; [<= 0] disables the
-    periodic ticker, keeping the first and final reports).
+    When the Hello requests shipping, a metrics report goes out right
+    after [Hello_ack], every 0.5 s, and just before [Done].
 
-    A Hello with a non-empty [plan] selects this worker's subnet from
-    the plan's stage for its partition (a shard replica runs its whole
-    replicated segment); [Proto.Restore] before the first record seeds
-    the engine with a migrated partition's captured state, and
+    The Hello's [plan] selects this worker's subnet from the plan's
+    stage for its partition (a shard replica runs its whole replicated
+    segment); a Hello without a plan is answered with a [Crash] naming
+    the plan and no [Hello_ack]. [Proto.Restore] before the first
+    record seeds the engine with a migrated partition's captured state,
+    and
     [Proto.Migrate] freezes the partition: outputs flush, the engine
     state is captured ({!Statecodec}) and returned in
     [Proto.Freeze_ack], and the worker exits.
@@ -243,12 +232,12 @@ val run :
 (** Hermetic in-process distributed run: simulated workers over
     {!Transport.Loopback} pairs, each a thread running {!serve} on its
     partition, coordinated as described above. Without [?plan] the
-    layout is the legacy box-count-balanced contiguous cut over
-    [workers] (default 2) partitions; with it, the plan's stages
+    layout is {!Plan.contiguous} over [workers] (default 2)
+    partitions; with it, the plan's stages
     decide both the cut and the shard groups ([workers] is then
     ignored). [credits] (default 32) is the per-edge window; [batch]
-    (default [SNET_DIST_BATCH] or 64, minimum 1) caps records per
-    cut-edge envelope. [kill_worker (i, k)]
+    (default {!default_batch}, checked by {!validate_batch}) caps
+    records per cut-edge envelope. [kill_worker (i, k)]
     is the fault-injection hook: worker [i] dies abruptly after fully
     processing [k] records (the respawned worker, under [Retry], is
     not re-killed); [crash_flush] refines it so the dying worker still
@@ -273,7 +262,7 @@ val run_spawned :
   ?batch:int ->
   ?stats:Snet.Stats.t ->
   ?supervision:Snet.Supervise.config ->
-  ?crash_after:int * int ->
+  ?kill_worker:int * int ->
   ?crash_flush:bool ->
   ?tap:(edge:string -> Snet.Record.t -> unit) ->
   ?collector:Obsv.Agg.collector ->
@@ -289,8 +278,9 @@ val run_spawned :
     accept order, and coordinate over {!Transport.Tcp}. [net] must be
     the same network the worker binary resolves from [spec]; the plan
     travels in each Hello, so both sides provably run the same cut.
-    [crash_after (i, k)] injects a worker crash (see {!run}); worker
-    processes are reaped on return, by force if they outlive the
-    shutdown handshake.
+    [kill_worker (i, k)] and [crash_flush] inject a worker crash as in
+    {!run}, and the remaining arguments mean what they do there.
+    Worker processes are reaped on return, by force if they outlive
+    the shutdown handshake.
     @raise Failure when a worker fails to connect within 30s, or on
     worker death under [Fail_fast]. *)

@@ -12,8 +12,8 @@
      reach the same partition — which preserves the combinator's
      "equal tags meet the same replica" guarantee across machines.
 
-   The legacy box-count-balanced contiguous cut is a plan whose stages
-   are all [Run]s. Plans travel in [Proto.Hello] as a compact text
+   The default box-count-balanced contiguous cut ([contiguous]) is a
+   plan whose stages are all [Run]s. Plans travel in [Proto.Hello] as a compact text
    form so coordinator and workers provably agree on the layout. *)
 
 type stage =
@@ -168,11 +168,10 @@ let shard_of ~shards v =
     (h land max_int) mod shards
 
 (* ------------------------------------------------------------------ *)
-(* The legacy cut as a plan                                            *)
+(* The default cut                                                     *)
 
 (* Box-count-balanced contiguous grouping of [weights] into at most
-   [parts] runs — the exact greedy rule Engine_dist has always used,
-   expressed as a plan so the default layout is unchanged. *)
+   [parts] runs: Engine_dist's default cut when no plan is given. *)
 let contiguous ~parts ~weights =
   if parts <= 0 then invalid_arg "Plan.contiguous: parts must be positive";
   let w = Array.of_list (List.map (max 1) weights) in

@@ -64,5 +64,7 @@ val shard_of : shards:int -> int -> int
     and tests must use exactly this function. *)
 
 val contiguous : parts:int -> weights:int list -> t
-(** The legacy box-count-balanced contiguous cut over per-segment
-    weights, as a plan of [Run] stages (at most [parts] of them). *)
+(** The default cut: box-count-balanced contiguous runs over
+    per-segment weights, as a plan of [Run] stages (at most [parts] of
+    them).
+    @raise Invalid_argument when [parts <= 0] or [weights] is empty. *)

@@ -168,6 +168,27 @@ let encode ?ctx m =
       Buffer.add_string b state);
   Buffer.contents b
 
+(* Cut [rs] into envelopes of at most [batch] records, in order; a
+   singleton envelope goes as plain Data, so a cap of 1 sends plain
+   Data throughout. *)
+let data_msgs ?ctx ~batch rs =
+  let rec take k chunk = function
+    | r :: rs when k > 0 -> take (k - 1) (r :: chunk) rs
+    | rest -> (List.rev chunk, rest)
+  in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | rs ->
+        let chunk, rest = take (max 1 batch) [] rs in
+        let m =
+          match chunk with
+          | [ r ] -> encode ?ctx (Data r)
+          | _ -> encode ?ctx (Data_batch chunk)
+        in
+        go (m :: acc) rest
+  in
+  go [] rs
+
 exception Bad of string
 
 let decode ?ctx s =

@@ -53,8 +53,10 @@ type hello = {
           directly and would discard same-pid payloads anyway. *)
   plan : string;
       (** The placement plan ({!Plan.encode}) under which this run was
-          cut, [""] for the legacy box-count-balanced contiguous cut.
-          Decode validates a non-empty plan eagerly: a malformed map,
+          cut. A worker runs only this plan: it answers a Hello whose
+          plan is [""] with a [Crash]. [""] still decodes, because a
+          serve-session Hello carries no plan. Decode validates a
+          non-empty plan eagerly: a malformed map,
           a map whose partition count disagrees with [parts], or a
           [part] outside [0, parts) is rejected as a decode error —
           never a late array-bounds crash in the worker. *)
@@ -136,6 +138,13 @@ val encode : ?ctx:Wire.ctx -> msg -> string
     pumps hold one per connection); without it a per-domain default is
     used. @raise Wire.Unencodable on a [Data]/[Data_batch] record with
     unregistered field keys. *)
+
+val data_msgs :
+  ?ctx:Wire.ctx -> batch:int -> Snet.Record.t list -> string list
+(** Encode [rs], in order, as envelopes of at most [batch] records
+    each: [Data_batch] for a run, plain [Data] for a singleton, so
+    [batch <= 1] sends plain [Data] throughout. The one envelope
+    splitter of every cut edge and serve session. *)
 
 val decode : ?ctx:Wire.ctx -> string -> (msg, string) result
 (** A [Data_batch] envelope is rejected whole when any contained frame

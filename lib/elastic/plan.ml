@@ -70,7 +70,7 @@ let has_hints net =
    segments are fixed-width stages; the gaps between them (free runs)
    share the block's remaining budget proportionally to their summed
    weights, then each free run is cut by the same box-count-balanced
-   greedy rule the legacy partitioner uses. *)
+   greedy rule as Dist.Plan.contiguous. *)
 
 (* A block element: one sharded stage, or one maximal run of free
    segments. *)

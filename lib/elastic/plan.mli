@@ -16,12 +16,11 @@
     - maximal runs of unhinted segments share the remaining partition
       budget proportionally to their summed weights ([@weight w], or
       the box count when unhinted), and each run is then cut by the
-      same box-count-balanced greedy rule as the legacy contiguous
-      partitioner.
+      same box-count-balanced greedy rule as {!Dist.Plan.contiguous}.
 
     Extra budget beyond the network's placeable slots is not an error
-    — the surplus workers are simply never spawned, mirroring the
-    legacy cut's cap. *)
+    — the surplus workers are simply never spawned, as with
+    {!Dist.Plan.contiguous}. *)
 
 val has_hints : Snet.Net.t -> bool
 (** True when any spine segment carries a {!Snet.Net.Place} wrapper —

@@ -379,7 +379,7 @@ let recover t d ?pool ?exec wrapped =
 let create ?pool ?exec ?(cfg = default_config) ?durability net =
   if cfg.max_sessions < 1 then invalid_arg "Serve.create: max_sessions < 1";
   if cfg.credits < 1 then invalid_arg "Serve.create: credits < 1";
-  (match Dist.Engine_dist.batch_of_string (string_of_int cfg.batch) with
+  (match Dist.Engine_dist.validate_batch cfg.batch with
   | Ok _ -> ()
   | Error e -> invalid_arg ("Serve.create: " ^ e));
   (match durability with
@@ -841,32 +841,6 @@ let reject_ack reason =
   Dist.Proto.Session_ack
     { session = 0; ok = false; sa_credits = 0; sa_batch = 0; reason }
 
-(* Envelope splitting, mirroring the cut-edge pumps: plain Data when
-   the cap is 1 or the run is a singleton, Data_batch chunks bounded by
-   the cap otherwise. *)
-let data_msgs ~ctx ~batch rs =
-  if batch <= 1 then
-    List.map (fun r -> Dist.Proto.encode ~ctx (Dist.Proto.Data r)) rs
-  else begin
-    let rec chunks acc rs =
-      match rs with
-      | [] -> List.rev acc
-      | _ ->
-          let rec take k xs acc =
-            match (k, xs) with
-            | 0, _ | _, [] -> (List.rev acc, xs)
-            | k, x :: xs -> take (k - 1) xs (x :: acc)
-          in
-          let chunk, rest = take batch rs [] in
-          chunks (chunk :: acc) rest
-    in
-    List.map
-      (function
-        | [ r ] -> Dist.Proto.encode ~ctx (Dist.Proto.Data r)
-        | chunk -> Dist.Proto.encode ~ctx (Dist.Proto.Data_batch chunk))
-      (chunks [] rs)
-  end
-
 let attempt f = try f () with _ -> ()
 
 (* Response writer: drains the session queue in envelope-sized batches,
@@ -881,7 +855,7 @@ let session_writer t s conn ~batch () =
     | `Batch rs ->
         let grants = take_grants t s in
         let msgs =
-          data_msgs ~ctx ~batch rs
+          Dist.Proto.data_msgs ~ctx ~batch rs
           @
           if grants > 0 then [ Dist.Proto.encode (Dist.Proto.Credit grants) ]
           else []
@@ -909,9 +883,8 @@ let session_writer t s conn ~batch () =
 (* Serve one negotiated session on [conn]; returns when the connection
    is done. The reader (this thread) feeds the net and grants credits;
    the writer thread streams responses back. *)
-let serve_session t conn ~window ~batch s =
+let serve_session t conn ~batch s =
   let ctx = Dist.Wire.ctx () in
-  ignore window;
   let writer = Thread.create (session_writer t s conn ~batch) () in
   let handle r =
     match submit t s r with
@@ -995,7 +968,7 @@ let serve_conn t conn =
                                   sa_batch = batch;
                                   reason = "";
                                 })));
-                    serve_session t conn ~window:s.window ~batch s
+                    serve_session t conn ~batch s
                   in
                   if resume >= 0 then
                     match resume_session ~on_evict t resume with

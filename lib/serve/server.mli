@@ -21,7 +21,7 @@ type config = {
       (** Default and upper bound for a session's submit window. *)
   batch : int;
       (** Default response-envelope cap for TCP sessions (validated
-          against {!Dist.Engine_dist.batch_of_string} bounds). *)
+          against {!Dist.Engine_dist.validate_batch} bounds). *)
   idle_timeout : float;
       (** Seconds of inactivity before {!reap_idle} evicts a session;
           [<= 0.] disables reaping. *)

@@ -10,6 +10,7 @@ module Wire = Dist.Wire
 module Proto = Dist.Proto
 module Transport = Dist.Transport
 module Engine_dist = Dist.Engine_dist
+module Plan = Dist.Plan
 module Record = Snet.Record
 module Value = Snet.Value
 module Nd = Sacarray.Nd
@@ -338,11 +339,28 @@ let prop_batch_envelope =
 (* ------------------------------------------------------------------ *)
 (* Partitioning                                                        *)
 
+(* The default cut: [Plan.contiguous] over per-segment box counts.
+   Coordinator and workers both rebuild each partition's subnet from
+   the plan, so the plan alone must preserve the network. *)
 let test_partition () =
   let net = Sudoku.Networks.fig3 () in
   let total = Snet.Net.count_boxes net in
+  let segs = Array.of_list (Engine_dist.segments net) in
+  let weights =
+    Array.to_list (Array.map (fun s -> max 1 (Snet.Net.count_boxes s)) segs)
+  in
+  let subnets plan =
+    Array.to_list
+      (Array.map
+         (function
+           | Plan.Shard _ -> Alcotest.fail "contiguous produced a shard stage"
+           | Plan.Run { lo; hi } ->
+               Snet.Net.serial_list
+                 (Array.to_list (Array.sub segs lo (hi - lo + 1))))
+         plan)
+  in
   for parts = 1 to 6 do
-    let ps = Engine_dist.partition ~parts net in
+    let ps = subnets (Plan.contiguous ~parts ~weights) in
     Alcotest.(check bool)
       (Printf.sprintf "parts<=%d" parts)
       true
@@ -351,9 +369,10 @@ let test_partition () =
       (Printf.sprintf "boxes preserved (%d)" parts)
       total
       (List.fold_left (fun a n -> a + Snet.Net.count_boxes n) 0 ps);
-    (* Stability: re-partitioning at the achieved count is a fixpoint,
-       so coordinator and workers agree on the cut. *)
-    let again = Engine_dist.partition ~parts:(List.length ps) net in
+    (* Stability: re-cutting at the achieved count is a fixpoint. *)
+    let again =
+      subnets (Plan.contiguous ~parts:(List.length ps) ~weights)
+    in
     Alcotest.(check (list string))
       (Printf.sprintf "stable (%d)" parts)
       (List.map Snet.Net.to_string ps)
@@ -362,10 +381,11 @@ let test_partition () =
   (* Order preserved: fig3 is a serial_list, so one part rebuilds it. *)
   Alcotest.(check string) "identity"
     (Snet.Net.to_string net)
-    (Snet.Net.to_string (List.hd (Engine_dist.partition ~parts:1 net)));
+    (Snet.Net.to_string
+       (List.hd (subnets (Plan.contiguous ~parts:1 ~weights))));
   Alcotest.(check bool) "parts=0 rejected" true
     (try
-       ignore (Engine_dist.partition ~parts:0 net);
+       ignore (Plan.contiguous ~parts:0 ~weights);
        false
      with Invalid_argument _ -> true)
 
@@ -728,8 +748,6 @@ let test_trace_propagation_loopback () =
 (* ------------------------------------------------------------------ *)
 (* Placement plans                                                     *)
 
-module Plan = Dist.Plan
-
 let test_plan_codec () =
   let samples =
     [
@@ -811,37 +829,6 @@ let test_plan_arithmetic () =
   Alcotest.(check bool) "hash spreads over replicas" true
     (Array.for_all (fun n -> n > 0) hits);
   Alcotest.(check int) "single shard degenerates" 0 (Plan.shard_of ~shards:1 42)
-
-(* The default plan is the legacy cut: [Plan.contiguous] over the
-   per-segment box counts must reproduce exactly the partitions the
-   pre-plan engine computed, for every worker count. *)
-let test_plan_contiguous_matches_partition () =
-  let net = Sudoku.Networks.fig3 () in
-  let segs = Array.of_list (Engine_dist.segments net) in
-  let weights =
-    Array.to_list (Array.map (fun s -> max 1 (Snet.Net.count_boxes s)) segs)
-  in
-  for parts = 1 to 6 do
-    let legacy = Engine_dist.partition ~parts net in
-    let plan = Plan.contiguous ~parts ~weights in
-    Alcotest.(check int)
-      (Printf.sprintf "stage count (%d)" parts)
-      (List.length legacy) (Array.length plan);
-    List.iteri
-      (fun i sub ->
-        match plan.(i) with
-        | Plan.Shard _ -> Alcotest.fail "contiguous produced a shard stage"
-        | Plan.Run { lo; hi } ->
-            let rebuilt =
-              Snet.Net.serial_list
-                (Array.to_list (Array.sub segs lo (hi - lo + 1)))
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "partition %d of %d" i parts)
-              (Snet.Net.to_string sub)
-              (Snet.Net.to_string rebuilt))
-      legacy
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Netstate wire codec (migration payloads)                            *)
@@ -951,6 +938,59 @@ let test_hello_rejects_bad_shard_map () =
   expect_reject "partition out of range" "out of range" ~part:7 ~parts:4
     ~plan:"0,1!2,2";
   expect_reject "malformed map" "bad plan" ~part:0 ~parts:2 ~plan:"0,huh"
+
+(* A worker runs only the cut its Hello names: a Hello without a plan
+   is answered with a Crash that names the plan, never a Hello_ack. *)
+let test_hello_without_plan_refused () =
+  let a, b = Transport.loopback_pair () in
+  let worker =
+    Thread.create
+      (fun () ->
+        Engine_dist.serve ~conn:b
+          ~resolve:(fun _ -> Sudoku.Networks.fig3 ())
+          ())
+      ()
+  in
+  Transport.send a
+    (Proto.encode
+       (Proto.Hello
+          {
+            spec = "fig3";
+            part = 0;
+            parts = 2;
+            policy = "";
+            timeout = None;
+            credits = 32;
+            crash_after = -1;
+            crash_flush = false;
+            batch = 16;
+            obsv = 0;
+            coord_pid = 0;
+            plan = "";
+          }));
+  let rec replies acc =
+    match Transport.recv a with
+    | `Closed -> List.rev acc
+    | `Msg m -> (
+        match Proto.decode m with
+        | Ok (Proto.Hello_ack _) ->
+            Transport.close a;
+            Thread.join worker;
+            Alcotest.fail "Hello without a plan acknowledged"
+        | Ok msg -> replies (msg :: acc)
+        | Error e -> Alcotest.failf "undecodable reply: %s" e)
+  in
+  let got = replies [] in
+  Thread.join worker;
+  Transport.close a;
+  match got with
+  | [ Proto.Crash e ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "crash names the plan (%s)" e)
+        true (contains e "plan")
+  | msgs ->
+      Alcotest.failf "expected one Crash, got [%s]"
+        (String.concat "; " (List.map Proto.to_string msgs))
 
 (* ------------------------------------------------------------------ *)
 (* Differential: sharded [!!] across workers vs sequential reference   *)
@@ -1179,7 +1219,7 @@ let test_batched_routing_stress_tcp () =
           Engine_dist.run_spawned ~worker_exe
             ~spec:(Sudoku.Netspec.spec ~shards:2 "shard")
             ~workers:(Plan.parts plan) ~plan ~batch:64 ~credits ?supervision
-            ?crash_after:kill ~crash_flush:(kill <> None) net inputs)
+            ?kill_worker:kill ~crash_flush:(kill <> None) net inputs)
         (Sudoku.Networks.shard ~shards:2 ())
         (shard_inputs stress_records)
 
@@ -1228,6 +1268,58 @@ let test_migrate_mid_run () =
       Alcotest.(check bool) "health row carries a placement" true
         (p.Obsv.Health.place <> "")
   | None -> Alcotest.fail "migrated partition missing from cluster"
+
+(* A migrated partition resumes from its predecessor's captured state:
+   partition 1 is a synchrocell that holds {a} when it moves, so only
+   the Restore frame lets its replacement join {a} with the {b} that
+   arrives after the move. Unbatched and throttled, partition 0 sends
+   {b} 150 ms after {a}; the move starts once {a} has crossed into
+   partition 1. *)
+let test_migrate_carries_state () =
+  let net () =
+    Snet.Net.serial
+      (Snet.Net.filter
+         (Snet.Filter.make (Snet.Pattern.make ~fields:[] ~tags:[] ()) [ [] ]))
+      (Snet.Net.sync
+         [
+           Snet.Pattern.make ~fields:[ "a" ] ~tags:[] ();
+           Snet.Pattern.make ~fields:[ "b" ] ~tags:[] ();
+         ])
+  in
+  let field n v = Record.of_list ~fields:[ (n, Value.of_int v) ] ~tags:[] in
+  let inputs = [ field "a" 1; field "b" 2 ] in
+  let reference = Snet.Engine_seq.run (net ()) inputs in
+  let a_crossed = Atomic.make false in
+  let tap ~edge r =
+    if edge = "dist:w1.in" && Record.field "a" r <> None then
+      Atomic.set a_crossed true
+  in
+  let result = ref (Error "migration never attempted") in
+  let migrator = ref None in
+  let outs =
+    Engine_dist.run ~workers:2 ~batch:1 ~tap ~worker_throttle:(0, 150_000)
+      ~on_handle:(fun h ->
+        migrator :=
+          Some
+            (Thread.create
+               (fun () ->
+                 while not (Atomic.get a_crossed) do
+                   Thread.delay 0.001
+                 done;
+                 Thread.delay 0.02;
+                 result := Engine_dist.migrate h 1)
+               ()))
+      (net ()) inputs
+  in
+  (match !migrator with
+  | Some t -> Thread.join t
+  | None -> Alcotest.fail "on_handle never called");
+  (match !result with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "migrate failed: %s" e);
+  Alcotest.(check int) "the cell fires once" 1 (List.length reference);
+  Alcotest.(check bool) "joined across the move" true
+    (multiset_eq reference outs)
 
 (* Every refusal path answers with a reason instead of raising or
    wedging the run. *)
@@ -1334,12 +1426,12 @@ let suite =
     Alcotest.test_case "plan codec" `Quick test_plan_codec;
     Alcotest.test_case "plan arithmetic + shard hash" `Quick
       test_plan_arithmetic;
-    Alcotest.test_case "plan contiguous = legacy partition" `Quick
-      test_plan_contiguous_matches_partition;
     Alcotest.test_case "statecodec round-trip + corruption" `Quick
       test_statecodec_roundtrip;
     Alcotest.test_case "hello rejects bad shard map" `Quick
       test_hello_rejects_bad_shard_map;
+    Alcotest.test_case "hello without a plan is refused" `Quick
+      test_hello_without_plan_refused;
     Alcotest.test_case "shard=seq x{1,2,4}" `Quick test_dist_shard_vs_seq;
     Alcotest.test_case "shard=seq over TCP (smoke)" `Quick test_dist_shard_tcp;
     Alcotest.test_case "shard replica kill (all policies)" `Quick
@@ -1349,6 +1441,8 @@ let suite =
     Alcotest.test_case "batched routing stress over TCP (smoke)" `Quick
       test_batched_routing_stress_tcp;
     Alcotest.test_case "migrate mid-run" `Quick test_migrate_mid_run;
+    Alcotest.test_case "migrate carries engine state" `Quick
+      test_migrate_carries_state;
     Alcotest.test_case "migrate refusals" `Quick test_migrate_refusals;
     Alcotest.test_case "migrate freeze death -> crash recovery" `Quick
       test_migrate_freeze_death_recovers;

@@ -64,20 +64,21 @@ let collect srv s n =
       List.length !acc >= n);
   !acc
 
-(* --- batch-cap validation (shared with --dist-batch/SNET_DIST_BATCH) *)
+(* --- batch-cap validation (shared with --dist-batch and --batch) *)
 
 let test_batch_validation () =
-  let check_err s =
-    match Dist.Engine_dist.batch_of_string s with
+  let check_err n =
+    match Dist.Engine_dist.validate_batch n with
     | Error _ -> ()
-    | Ok n -> Alcotest.failf "batch %S wrongly accepted as %d" s n
+    | Ok m -> Alcotest.failf "batch %d wrongly accepted as %d" n m
   in
-  List.iter check_err [ "0"; "-3"; ""; "64x"; "  "; "1.5" ];
-  let ok s = Result.get_ok (Dist.Engine_dist.batch_of_string s) in
-  Alcotest.(check int) "plain" 64 (ok "64");
-  Alcotest.(check int) "trimmed" 8 (ok " 8 ");
-  Alcotest.(check int) "1 disables" 1 (ok "1");
-  Alcotest.(check int) "clamped to max" Dist.Engine_dist.max_batch (ok "999999")
+  List.iter check_err [ 0; -3 ];
+  let ok n = Result.get_ok (Dist.Engine_dist.validate_batch n) in
+  Alcotest.(check int) "plain" 64 (ok 64);
+  Alcotest.(check int) "1 disables" 1 (ok 1);
+  Alcotest.(check int) "max kept" Dist.Engine_dist.max_batch
+    (ok Dist.Engine_dist.max_batch);
+  Alcotest.(check int) "clamped to max" Dist.Engine_dist.max_batch (ok 999999)
 
 (* --- session lifecycle ------------------------------------------- *)
 
