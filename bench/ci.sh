@@ -107,6 +107,21 @@ dune build @dist-smoke
 ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy --workers 2 \
   --dist-batch 1 > /dev/null
 
+echo "== real-process crash recovery =="
+# A fig2 solve over two snet_worker processes whose worker 1 dies on
+# the first record it receives (one puzzle sends worker 1 a single
+# record, so 1:0 is the kill point that fires). Under --on-error
+# retry:1 the coordinator respawns the process and resends, and the
+# solve must still print a solution; under fail-fast the same kill
+# must fail the run, which proves the kill fired.
+solves ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy \
+  --workers 2 --kill-worker 1:0 --on-error retry:1
+if ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy \
+  --workers 2 --kill-worker 1:0 > /dev/null 2>&1; then
+  echo "fail-fast solve survived --kill-worker 1:0: the kill never fired" >&2
+  exit 1
+fi
+
 echo "== serving smoke =="
 # Socket-gated serve tests (the EINTR transport regression, real-TCP
 # concurrent sessions, the HTTP gateway) plus the daemon load

@@ -350,32 +350,51 @@ let serve ?pool ?tap ?throttle_us ?(die_in_freeze = false) ~conn ~resolve
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
 
+(* One event loop owns every piece of coordinator state below: it
+   routes, stamps, writes envelopes, counts credits, moves watermarks,
+   respawns and migrates. Other threads reach it only through the
+   inbox: one reader per connection posts what it receives, and
+   [migrate] posts a request and waits for the answer. *)
+
 type wst =
   | Alive
-  | Respawning
   | Migrating
-      (* Frozen for live repartitioning: the pump parks (it only sends
-         to [Alive] workers) while producers keep enqueueing onto
-         [pending], bounded by the credit window as usual. *)
+      (* Frozen for live repartitioning: the loop writes nothing to it
+         while routing keeps enqueueing onto [pending], bounded by the
+         credit window as usual. *)
   | Dead
+
+(* What a reader posts: a frame from, or the close of, generation
+   [gen] of partition [part]'s connection. Every death or migration
+   retires the connection and bumps the generation, so whatever a
+   retired connection still delivers is dropped. *)
+type recv = { part : int; gen : int; msg : [ `Msg of string | `Closed ] }
+
+type event =
+  | Recv of recv
+  | Migrate_req of int * (float, string) result Event.channel
 
 type wstate = {
   idx : int;
+  (* The cut edges into and out of this partition. *)
+  ein : string;
+  eout : string;
   mutable conn : Transport.conn;
+  mutable gen : int;
+  (* Encode and decode scratch for this partition's frames. *)
+  wire : Wire.ctx;
   mutable st : wst;
   mutable done_ : bool;
   (* End-of-stream is two-phase: [eof_requested] marks that upstream is
-     exhausted (set by [finish_upstream]); the pump turns it into an
-     actual Eof on the wire ([eof_sent]) only once [pending] has
-     drained. Keeping the two apart is what fixes the full-window
-     parking bug: an Eof needs NO credit, so the pump's wait condition
-     must not couple it to [credits > 0]. *)
+     exhausted (set by [finish_stage]); [write] turns it into an actual
+     Eof on the wire ([eof_sent]) only once [pending] has drained. An
+     Eof needs NO credit, so a full window can never hold it back. *)
   mutable eof_requested : bool;
   mutable eof_sent : bool;
   mutable credits : int;
-  (* Records routed to this worker but not yet written; the pump
+  (* Records routed to this worker but not yet written; [write]
      coalesces runs of them into batch envelopes. Bounded by the credit
-     window, so producer backpressure is preserved. *)
+     window: routing holds whatever does not fit. *)
   pending : Snet.Record.t Queue.t;
   (* Written but not yet credited; resent on respawn. *)
   inflight : Snet.Record.t Queue.t;
@@ -384,11 +403,15 @@ type wstate = {
      crash — only the credit was lost — and must NOT be resent. *)
   mutable watermark : int;
   mutable retries_left : int;
-  (* Migration rendezvous between the reader (which receives the
-     Freeze_ack or observes the death) and the migrating thread. *)
-  mutable freeze_state : string option;
-  mutable freeze_failed : bool;
-  mutable migrations : int;
+  (* This worker's outputs not yet routed because a destination's
+     window was full: (partition, records) groups, in order. While it
+     is non-empty the worker's later frames wait in [stash], Credits
+     included, so the worker is sent no new input before its outputs
+     fit downstream. *)
+  mutable held : (int * Snet.Record.t list) list;
+  stash : recv Queue.t;
+  (* The open migration: who waits for its answer, and since when. *)
+  mutable freeze : ((float, string) result Event.channel * float) option;
 }
 
 (* One pipeline stage of the placement plan, in routing form: the
@@ -397,8 +420,6 @@ type wstate = {
 type stage_route = { r_base : int; r_width : int; r_tag : string option }
 
 type coord = {
-  mu : Mutex.t;
-  cv : Condition.t;
   ws : wstate array;
   parts : int;
   policy : Snet.Supervise.policy;
@@ -406,10 +427,9 @@ type coord = {
   init_credits : int;
   batch : int;
   respawn : int -> Transport.conn option;
-  (* Durability hook: called (outside hot-path allocation, under the
-     coordinator lock for cut edges, lock-free for the global output)
-     with every record crossing a named cut edge and every record
-     reaching the global output edge [out_edge]. *)
+  (* Durability hook: called on the loop with every record crossing a
+     named cut edge and every record reaching the global output edge
+     [out_edge]. *)
   tap : (edge:string -> Snet.Record.t -> unit) option;
   (* Cluster-observability sink: worker reports and trace chunks land
      here; [None] keeps the shipping path fully disabled. *)
@@ -421,21 +441,67 @@ type coord = {
   mutable next_seq : int;
   mutable outputs_rev : Snet.Record.t list;
   mutable failure : string option;
-  (* Reader threads spawned after a migration; joined at run end. *)
-  mutable aux : Thread.t list;
-  (* Set once the run is over: migrations are refused from then on. *)
+  (* Inputs not yet routed, and the groups of the one routed last that
+     did not fit stage 0; [fed] once stage 0 has its end of stream. *)
+  mutable inputs : Snet.Record.t list;
+  mutable feed_held : (int * Snet.Record.t list) list;
+  mutable fed : bool;
+  mutable readers : Thread.t list;
+  (* The loop's thread: a [migrate] from it would wait on itself. *)
+  loop_id : int;
+  (* The inbox, the only state shared with other threads. The loop
+     takes everything queued at once; a post signals only while the
+     loop is [idle] in its wait. [closed] once the loop has stopped:
+     later posts are refused. *)
+  mu : Mutex.t;
+  cv : Condition.t;
+  inbox : event Queue.t;
+  mutable idle : bool;
   mutable closed : bool;
+  (* Completed or failed, readable from any thread. *)
+  over : bool Atomic.t;
 }
 
-let edge_in i = Printf.sprintf "dist:w%d.in" i
-let edge_out i = Printf.sprintf "dist:w%d.out" i
 let out_edge = "dist:out"
-
-let locked c f =
-  Mutex.lock c.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.mu) f
-
 let worker_name i = Printf.sprintf "dist:worker%d" i
+
+let post c ev =
+  Mutex.lock c.mu;
+  let accepted = not c.closed in
+  if accepted then begin
+    Queue.push ev c.inbox;
+    if c.idle then begin
+      c.idle <- false;
+      Condition.signal c.cv
+    end
+  end;
+  Mutex.unlock c.mu;
+  accepted
+
+(* Block until the inbox holds something, then take all of it. *)
+let take c =
+  let evs = Queue.create () in
+  Mutex.lock c.mu;
+  while Queue.is_empty c.inbox do
+    c.idle <- true;
+    Condition.wait c.cv c.mu
+  done;
+  c.idle <- false;
+  Queue.transfer c.inbox evs;
+  Mutex.unlock c.mu;
+  evs
+
+(* A reader only receives: it never waits on the loop. *)
+let start_reader c w =
+  let part = w.idx and gen = w.gen and conn = w.conn in
+  let rec loop () =
+    let msg = try Transport.recv conn with _ -> `Closed in
+    ignore (post c (Recv { part; gen; msg }) : bool);
+    match msg with `Msg _ -> loop () | `Closed -> ()
+  in
+  c.readers <- Thread.create loop () :: c.readers
+
+let answer reply r = Event.sync (Event.send reply r)
 
 let stamp_dead c i r reason =
   Option.iter Snet.Stats.record_box_error c.stats;
@@ -447,103 +513,96 @@ let stamp_dead c i r reason =
   c.outputs_rev <- e :: c.outputs_rev
 
 (* Append [rs] to the global output edge [out_edge], without the
-   coordinator's own tags. The tap runs lock-free; nothing waits on
-   the output list, so there is no wake-up. *)
+   coordinator's own tags. *)
 let deliver c rs =
-  let rs =
-    List.map
-      (fun r ->
-        let r = Snet.Record.without_tag seq_tag r in
-        let r = Snet.Record.without_tag Obsv.Probe.trace_tag r in
-        (match c.tap with Some f -> f ~edge:out_edge r | None -> ());
-        r)
-      rs
-  in
-  locked c (fun () -> c.outputs_rev <- List.rev_append rs c.outputs_rev)
+  List.iter
+    (fun r ->
+      let r = Snet.Record.without_tag seq_tag r in
+      let r = Snet.Record.without_tag Obsv.Probe.trace_tag r in
+      (match c.tap with Some f -> f ~edge:out_edge r | None -> ());
+      c.outputs_rev <- r :: c.outputs_rev)
+    rs
 
-(* Enqueue [rs], in order, onto partition [i]'s pending queue in one
-   lock hold — the pump does the wire work. Blocks mid-batch wherever
-   the pending window is full, exactly where a lone record would.
-   Only a push onto an empty queue can enable the pump (its other
-   conditions do not change here), so only that push wakes it: once
-   per lock hold, and before any wait for room. Never called with the
-   lock held. *)
-let enqueue c i rs =
+let full c w =
+  c.failure = None && w.st <> Dead
+  && Queue.length w.pending >= c.init_credits
+
+(* Stamp [r] and queue it for partition [i] — or settle it at once
+   when the partition is dead. *)
+let push c i r =
   let w = c.ws.(i) in
-  locked c (fun () ->
-      let wake = ref false in
-      let wake_pump () =
-        if !wake then begin
-          wake := false;
-          Condition.broadcast c.cv
-        end
-      in
-      let full () =
-        c.failure = None && w.st <> Dead
-        && Queue.length w.pending >= c.init_credits
-      in
-      let push r =
-        if full () then begin
-          wake_pump ();
-          Option.iter (fun s -> Snet.Stats.record_backpressure s 1) c.stats;
-          Obsv.Probe.edge_stall ~name:(edge_in i);
-          while full () do
-            Condition.wait c.cv c.mu
-          done
-        end;
-        if c.failure = None then
-          match w.st with
-          | Dead -> (
-              match c.policy with
-              | Snet.Supervise.Fail_fast -> ()
-              | Snet.Supervise.Error_record | Snet.Supervise.Retry _ ->
-                  stamp_dead c i r "worker died")
-          | Alive | Respawning | Migrating ->
-              (* Trace ingress: stamp a fresh trace id only if the
-                 record doesn't already carry one — a record forwarded
-                 from an upstream partition keeps its id, which is what
-                 links its spans causally across workers. *)
-              let r =
-                if
-                  Obsv.Sink.events_on ()
-                  && Snet.Record.tag Obsv.Probe.trace_tag r = None
-                then
-                  Snet.Record.with_tag Obsv.Probe.trace_tag
-                    (Obsv.Probe.fresh_trace ()) r
-                else r
-              in
-              (* Stamp under the lock so a worker's queue order is
-                 also its stamp order — the watermark proof needs
-                 per-worker monotonicity, not the global sequence. *)
-              let r = Snet.Record.with_tag seq_tag c.next_seq r in
-              c.next_seq <- c.next_seq + 1;
-              if Queue.is_empty w.pending then wake := true;
-              Queue.push r w.pending;
-              (match c.tap with
-              | Some f -> f ~edge:(edge_in i) r
-              | None -> ());
-              Obsv.Probe.edge_send ~name:(edge_in i)
-                ~depth:(Queue.length w.pending + Queue.length w.inflight);
-              if Obsv.Sink.events_on () then
-                (match Snet.Record.tag Obsv.Probe.trace_tag r with
-                | Some t ->
-                    Obsv.Probe.flow_start ~cat:"dist" ~name:"rec"
-                      ~id:((t * 1024) + (2 * i))
-                | None -> ())
-      in
-      List.iter push rs;
-      wake_pump ())
+  if c.failure = None then
+    match w.st with
+    | Dead -> (
+        match c.policy with
+        | Snet.Supervise.Fail_fast -> ()
+        | Snet.Supervise.Error_record | Snet.Supervise.Retry _ ->
+            stamp_dead c i r "worker died")
+    | Alive | Migrating ->
+        (* Trace ingress: stamp a fresh trace id only if the record
+           doesn't already carry one — a record forwarded from an
+           upstream partition keeps its id, which is what links its
+           spans causally across workers. *)
+        let r =
+          if
+            Obsv.Sink.events_on ()
+            && Snet.Record.tag Obsv.Probe.trace_tag r = None
+          then
+            Snet.Record.with_tag Obsv.Probe.trace_tag
+              (Obsv.Probe.fresh_trace ()) r
+          else r
+        in
+        (* A worker's queue order is also its stamp order, and [write]
+           keeps it on the wire — the watermark proof needs per-worker
+           monotonicity, not the global sequence. *)
+        let r = Snet.Record.with_tag seq_tag c.next_seq r in
+        c.next_seq <- c.next_seq + 1;
+        Queue.push r w.pending;
+        (match c.tap with Some f -> f ~edge:w.ein r | None -> ());
+        Obsv.Probe.edge_send ~name:w.ein
+          ~depth:(Queue.length w.pending + Queue.length w.inflight);
+        if Obsv.Sink.events_on () then
+          match Snet.Record.tag Obsv.Probe.trace_tag r with
+          | Some t ->
+              Obsv.Probe.flow_start ~cat:"dist" ~name:"rec"
+                ~id:((t * 1024) + (2 * i))
+          | None -> ()
+
+(* Push [rs], in order, onto partition [i]'s pending queue until its
+   window is full, and return the rest for the caller to hold: one
+   stall, wherever a lone record would stop. *)
+let rec enqueue c i = function
+  | [] -> []
+  | r :: rest as rs ->
+      if full c c.ws.(i) then begin
+        Option.iter (fun s -> Snet.Stats.record_backpressure s 1) c.stats;
+        Obsv.Probe.edge_stall ~name:c.ws.(i).ein;
+        rs
+      end
+      else begin
+        push c i r;
+        enqueue c i rest
+      end
+
+(* Push routed groups in order; the groups from the first one that
+   meets a full window on are returned, still to be pushed. *)
+let rec push_groups c = function
+  | [] -> []
+  | (i, rs) :: more -> (
+      match enqueue c i rs with
+      | [] -> push_groups c more
+      | rest -> (i, rest) :: more)
 
 (* Route a batch into stage [s] (s = stage count means the global
-   output); error records bypass the remaining stages. A width-1 stage
-   has exactly one partition; a shard group hashes the routing tag so
-   equal tag values deterministically reach the same replica
-   partition. A record without the tag goes to shard 0 and lets the
-   worker's own split node report it, exactly as a single-process
-   engine would. Each destination receives its records as one ordered
-   group. *)
+   output) and return what must be held; error records bypass the
+   remaining stages. A width-1 stage has exactly one partition; a
+   shard group hashes the routing tag so equal tag values
+   deterministically reach the same replica partition. A record
+   without the tag goes to shard 0 and lets the worker's own split
+   node report it, exactly as a single-process engine would. Each
+   destination receives its records as one ordered group. *)
 let route c s rs =
-  if s >= Array.length c.stages then deliver c rs
+  if s >= Array.length c.stages then (deliver c rs; [])
   else begin
     let st = c.stages.(s) in
     (* Slot k < r_width is partition r_base + k; slot r_width is the
@@ -565,12 +624,13 @@ let route c s rs =
         in
         groups.(k) <- r :: groups.(k))
       rs;
-    Array.iteri
-      (fun k g ->
-        if g <> [] then
-          let g = List.rev g in
-          if k = st.r_width then deliver c g else enqueue c (st.r_base + k) g)
-      groups
+    deliver c (List.rev groups.(st.r_width));
+    push_groups c
+      (List.filter_map
+         (fun k ->
+           if groups.(k) = [] then None
+           else Some (st.r_base + k, List.rev groups.(k)))
+         (List.init st.r_width Fun.id))
   end
 
 let stage_members c s =
@@ -578,175 +638,217 @@ let stage_members c s =
   List.init st.r_width (fun k -> c.ws.(st.r_base + k))
 
 (* Everything upstream of stage [s] has been delivered: mark
-   end-of-stream on every partition of the stage; each pump sends the
-   wire Eof after draining its pending queue. A stage whose partitions
+   end-of-stream on every partition of the stage; [write] sends the
+   wire Eof once its pending queue drains. A stage whose partitions
    are all dead is skipped so the marker propagates. *)
 let rec finish_stage c s =
   if s < Array.length c.stages then begin
-    let all_dead =
-      locked c (fun () ->
-          let members = stage_members c s in
-          List.iter (fun w -> w.eof_requested <- true) members;
-          Condition.broadcast c.cv;
-          List.for_all (fun w -> w.st = Dead) members)
-    in
-    if all_dead then finish_stage c (s + 1)
+    let members = stage_members c s in
+    List.iter (fun w -> w.eof_requested <- true) members;
+    if List.for_all (fun w -> w.st = Dead) members then finish_stage c (s + 1)
   end
 
-(* Must be called under the lock: has stage [s] finished — every
-   partition done or dead, with end-of-stream already requested — so
-   the next stage's Eof is due? *)
-let stage_finished c s =
-  List.for_all
-    (fun w -> w.eof_requested && (w.done_ || w.st = Dead))
-    (stage_members c s)
+(* Partition [i] is done or dead: if that finished its stage — every
+   partition done or dead, with end-of-stream already requested — the
+   next stage's Eof is due. *)
+let settled c i =
+  let s = c.stage_of.(i) in
+  if
+    List.for_all
+      (fun w -> w.eof_requested && (w.done_ || w.st = Dead))
+      (stage_members c s)
+  then finish_stage c (s + 1)
 
 let give_up c i reason =
-  (match c.collector with
-  | Some col -> Obsv.Agg.note_death col ~part:i ~reason
-  | None -> ());
-  let propagate =
-    locked c (fun () ->
-        let w = c.ws.(i) in
-        w.st <- Dead;
-        (match c.policy with
-        | Snet.Supervise.Fail_fast ->
-            if c.failure = None then
-              c.failure <- Some (Printf.sprintf "%s: %s" (worker_name i) reason)
-        | Snet.Supervise.Error_record | Snet.Supervise.Retry _ ->
-            Queue.iter (fun r -> stamp_dead c i r reason) w.inflight;
-            Queue.clear w.inflight;
-            Queue.iter (fun r -> stamp_dead c i r reason) w.pending;
-            Queue.clear w.pending);
-        Condition.broadcast c.cv;
-        stage_finished c c.stage_of.(i))
-  in
-  if propagate then finish_stage c (c.stage_of.(i) + 1)
-
-(* Per-worker sender pump: coalesce whatever is queued — bounded by
-   the credit window and the batch cap — into one transport write.
-   Flush triggers are batch-size, credit exhaustion and Eof; an idle
-   edge sends a lone record immediately, so light-load latency is one
-   envelope away from the unbatched path. *)
-let pump c i =
+  Option.iter (fun col -> Obsv.Agg.note_death col ~part:i ~reason) c.collector;
   let w = c.ws.(i) in
-  let ctx = Wire.ctx () in
-  let rec loop () =
-    let action =
-      locked c (fun () ->
-          let can_data () =
-            w.st = Alive && w.credits > 0 && not (Queue.is_empty w.pending)
-          in
-          let can_eof () =
-            w.st = Alive && w.eof_requested && not w.eof_sent
-            && Queue.is_empty w.pending
-          in
-          let finished () = w.eof_sent && Queue.is_empty w.pending in
-          while
-            c.failure = None && w.st <> Dead
-            && not (can_data () || can_eof () || finished ())
-          do
-            Condition.wait c.cv c.mu
-          done;
-          if c.failure <> None || w.st = Dead then `Stop
-          else if can_data () then begin
-            let was_full = Queue.length w.pending >= c.init_credits in
-            let k = min (min w.credits c.batch) (Queue.length w.pending) in
-            let rs =
-              List.init k (fun _ ->
-                  let r = Queue.pop w.pending in
-                  Queue.push r w.inflight;
-                  r)
-            in
-            w.credits <- w.credits - k;
-            let eof = w.eof_requested && Queue.is_empty w.pending in
-            if eof then w.eof_sent <- true;
-            (* Producers park only on a full pending window, so only
-               a pop from a full one can release them. *)
-            if was_full then Condition.broadcast c.cv;
-            `Send (w.conn, rs, eof)
-          end
-          else if can_eof () then begin
-            w.eof_sent <- true;
-            `Send (w.conn, [], true)
-          end
-          else `Stop (* finished *))
-    in
-    match action with
-    | `Stop -> ()
-    | `Send (conn, rs, eof) ->
-        let k = List.length rs in
-        if k > 0 then Obsv.Probe.edge_batch ~name:(edge_in i) ~size:k;
-        let msgs =
-          Proto.data_msgs ~ctx ~batch:c.batch rs
-          @ (if eof then [ Proto.encode Proto.Eof ] else [])
-        in
-        (try Transport.send_many conn msgs
-         with _ -> () (* the worker's reader will observe the death *));
-        loop ()
-  in
-  loop ()
+  w.st <- Dead;
+  (match c.policy with
+  | Snet.Supervise.Fail_fast ->
+      if c.failure = None then
+        c.failure <- Some (Printf.sprintf "%s: %s" (worker_name i) reason);
+      Atomic.set c.over true
+  | Snet.Supervise.Error_record | Snet.Supervise.Retry _ ->
+      Queue.iter (fun r -> stamp_dead c i r reason) w.inflight;
+      Queue.clear w.inflight;
+      Queue.iter (fun r -> stamp_dead c i r reason) w.pending;
+      Queue.clear w.pending);
+  settled c i
+
+(* Write to partition [w] what its window allows — envelopes of up to
+   [min credits batch] pending records, then the Eof once pending has
+   drained — in one transport write. Flush triggers are batch size,
+   credit exhaustion and Eof; an idle edge sends a lone record at once,
+   so light-load latency is one envelope away from the unbatched path.
+   True when records left [pending]. *)
+let write c w =
+  if c.failure <> None || w.st <> Alive then false
+  else begin
+    let msgs = ref [] and before = Queue.length w.pending in
+    while w.credits > 0 && not (Queue.is_empty w.pending) do
+      let k = min (min w.credits c.batch) (Queue.length w.pending) in
+      let rs =
+        List.init k (fun _ ->
+            let r = Queue.pop w.pending in
+            Queue.push r w.inflight;
+            r)
+      in
+      w.credits <- w.credits - k;
+      Obsv.Probe.edge_batch ~name:w.ein ~size:k;
+      msgs := List.rev_append (Proto.data_msgs ~ctx:w.wire ~batch:k rs) !msgs
+    done;
+    if w.eof_requested && (not w.eof_sent) && Queue.is_empty w.pending then begin
+      w.eof_sent <- true;
+      msgs := Proto.encode Proto.Eof :: !msgs
+    end;
+    if !msgs <> [] then (
+      try Transport.send_many w.conn (List.rev !msgs)
+      with _ -> () (* the worker's reader will observe the death *));
+    Queue.length w.pending < before
+  end
+
+(* Close partition [w]'s connection; its reader's last words, and
+   anything else it still delivers, are dropped. *)
+let retire w =
+  Transport.close w.conn;
+  w.gen <- w.gen + 1
 
 (* Respawn partition [i] and hand the replacement what its
    predecessor left uncredited: [prefix] first (a migration's
    [Restore]), then the in-flight records above the watermark, then
    Eof iff one was already on the old wire — an Eof merely requested
-   stays with the pump, which sends it once pending drains on the
+   stays with [write], which sends it once pending drains on the
    fresh connection. In-flight records at or below the watermark are
    dropped: their outputs came back before the swap, so the old worker
    provably processed them and only the credit was lost; resending
    them would deliver their outputs a second time (the crash_flush
-   window). Credits restart at the window minus the resend. [None]
-   when no replacement could be spawned. *)
+   window). Credits restart at the window minus the resend. False when
+   no replacement could be spawned. *)
 let respawn_and_resend c i ~prefix =
   match c.respawn i with
-  | None -> None
+  | None -> false
   | Some conn ->
       let w = c.ws.(i) in
-      let resend, resend_eof =
-        locked c (fun () ->
-            w.conn <- conn;
-            let keep =
-              List.rev
-                (Queue.fold
-                   (fun acc r ->
-                     match Snet.Record.tag seq_tag r with
-                     | Some s when s <= w.watermark -> acc
-                     | _ -> r :: acc)
-                   [] w.inflight)
-            in
-            Queue.clear w.inflight;
-            List.iter (fun r -> Queue.push r w.inflight) keep;
-            w.credits <- c.init_credits - Queue.length w.inflight;
-            (keep, w.eof_sent))
+      w.conn <- conn;
+      let keep =
+        List.rev
+          (Queue.fold
+             (fun acc r ->
+               match Snet.Record.tag seq_tag r with
+               | Some s when s <= w.watermark -> acc
+               | _ -> r :: acc)
+             [] w.inflight)
       in
+      Queue.clear w.inflight;
+      List.iter (fun r -> Queue.push r w.inflight) keep;
+      w.credits <- c.init_credits - Queue.length w.inflight;
       (* A replacement that dies at once is found by its reader. *)
       (try
          Transport.send_many conn
            (prefix
-           @ Proto.data_msgs ~ctx:(Wire.ctx ()) ~batch:c.batch resend
-           @ if resend_eof then [ Proto.encode Proto.Eof ] else [])
+           @ Proto.data_msgs ~ctx:w.wire ~batch:c.batch keep
+           @ if w.eof_sent then [ Proto.encode Proto.Eof ] else [])
        with _ -> ());
-      Some conn
+      start_reader c w;
+      true
+
+(* A worker failure. A death during a migration freeze fails the
+   migration, then takes the ordinary crash path: respawn without
+   Restore under the retry budget, else [give_up]. *)
+let death c i reason =
+  let w = c.ws.(i) in
+  let reason =
+    match w.freeze with
+    | Some (reply, _) ->
+        w.freeze <- None;
+        answer reply (Error "worker died during freeze; crash recovery engaged");
+        "worker died during freeze"
+    | None -> reason
+  in
+  retire w;
+  let budget = w.retries_left in
+  w.retries_left <- max 0 (budget - 1);
+  if budget > 0 && respawn_and_resend c i ~prefix:[] then w.st <- Alive
+  else give_up c i reason
+
+(* ------------------------------------------------------------------ *)
+(* Live migration: drain — freeze — respawn — resend                   *)
+
+(* Move partition [i] onto a fresh worker while the run is live:
+
+   1. mark the partition [Migrating]: the loop stops writing to it,
+      routing keeps enqueueing (bounded by the credit window);
+   2. send [Migrate]; the worker finishes what it already received,
+      flushes outputs and credits, captures its engine state and
+      answers [Freeze_ack] — after which its inflight window is empty
+      (every envelope was credited before the ack, FIFO);
+   3. on the ack ([end_migration]), respawn via the run's respawn
+      hook, seed the new worker with [Restore], resend any uncredited
+      inflight above the watermark (belt and braces — empty after a
+      clean freeze), and mark the partition [Alive] so writing
+      resumes.
+
+   A worker that dies mid-freeze falls back to the ordinary crash
+   path ([death]), with the same exactly-once guarantees as any other
+   death. The answer is the downtime in seconds: freeze request to
+   alive again. *)
+let start_migration c i reply =
+  let w = c.ws.(i) and refuse e = answer reply (Error e) in
+  if c.failure <> None then refuse "run already failed"
+  else if w.done_ then refuse "partition already done"
+  else if w.eof_sent then refuse "partition already at end of stream"
+  else if w.st <> Alive then refuse "worker not alive"
+  else begin
+    w.st <- Migrating;
+    w.freeze <- Some (reply, Unix.gettimeofday ());
+    try Transport.send w.conn (Proto.encode Proto.Migrate)
+    with _ -> () (* the reader will observe the death *)
+  end
+
+let end_migration c i state =
+  let w = c.ws.(i) in
+  match w.freeze with
+  | None -> ()
+  | Some (reply, t0) ->
+      w.freeze <- None;
+      retire w;
+      let prefix =
+        match Statecodec.decode state with
+        | Ok st when Snet.Netstate.is_empty st ->
+            (* A pristine capture: skip the frame so the fresh
+               worker's path equals a cold start. *)
+            []
+        | _ -> [ Proto.encode (Proto.Restore { state }) ]
+      in
+      if respawn_and_resend c i ~prefix then begin
+        w.st <- Alive;
+        let downtime = Unix.gettimeofday () -. t0 in
+        Option.iter
+          (fun col -> Obsv.Agg.note_migration col ~part:i ~downtime)
+          c.collector;
+        answer reply (Ok downtime)
+      end
+      else begin
+        give_up c i "respawn failed during migration";
+        answer reply (Error "could not spawn a replacement worker")
+      end
+
+(* ------------------------------------------------------------------ *)
+(* The loop                                                            *)
 
 (* Route a batch of worker [i]'s outputs on to the next stage, under
-   one watermark update for the whole batch: this reader routes the
-   batch in full before it can act on the worker's death, so a
-   respawn never trusts the watermark for outputs that were not
-   delivered. *)
+   one watermark update for the whole batch. The worker's later
+   frames, its death included, wait until the batch is routed in
+   full, so a respawn never trusts the watermark for outputs that were
+   not delivered. *)
 let forward c i rs =
   let w = c.ws.(i) in
-  let top =
-    List.fold_left
-      (fun m r ->
-        match Snet.Record.tag seq_tag r with Some s -> max m s | None -> m)
-      (-1) rs
-  in
-  if top >= 0 then
-    locked c (fun () -> if top > w.watermark then w.watermark <- top);
   List.iter
     (fun r ->
-      Obsv.Probe.edge_recv ~name:(edge_out i) ~depth:(Queue.length w.inflight);
+      (match Snet.Record.tag seq_tag r with
+      | Some s when s > w.watermark -> w.watermark <- s
+      | _ -> ());
+      Obsv.Probe.edge_recv ~name:w.eout ~depth:(Queue.length w.inflight);
       if Obsv.Sink.events_on () then
         match Snet.Record.tag Obsv.Probe.trace_tag r with
         | Some t ->
@@ -754,247 +856,163 @@ let forward c i rs =
               ~id:((t * 1024) + (2 * i) + 1)
         | None -> ())
     rs;
-  route c (c.stage_of.(i) + 1) rs
+  w.held <- route c (c.stage_of.(i) + 1) rs
 
-let rec reader c i conn =
+let on_recv c ({ part = i; gen; msg } as ev) =
   let w = c.ws.(i) in
-  match Transport.recv conn with
-  | `Closed ->
-      let was_done = locked c (fun () -> w.done_) in
-      if not was_done then death c i conn "connection closed"
-  | `Msg m -> (
-      match Proto.decode m with
-      | Ok (Proto.Data r) ->
-          forward c i [ r ];
-          reader c i conn
-      | Ok (Proto.Data_batch rs) ->
-          Obsv.Probe.edge_batch ~name:(edge_out i) ~size:(List.length rs);
-          forward c i rs;
-          reader c i conn
-      | Ok (Proto.Credit n) ->
-          locked c (fun () ->
-              w.credits <- w.credits + n;
-              for _ = 1 to min n (Queue.length w.inflight) do
-                ignore (Queue.pop w.inflight)
-              done;
-              Condition.broadcast c.cv);
-          reader c i conn
-      | Ok Proto.Done ->
-          let propagate =
-            locked c (fun () ->
-                w.done_ <- true;
-                Condition.broadcast c.cv;
-                stage_finished c c.stage_of.(i))
-          in
-          if propagate then finish_stage c (c.stage_of.(i) + 1)
-      | Ok (Proto.Crash msg) -> death c i conn msg
-      | Ok (Proto.Freeze_ack { state }) ->
-          (* Rendezvous with the migrating thread, which respawns the
-             partition and spawns a fresh reader on the new
-             connection — this reader's work is over. *)
-          let accepted =
-            locked c (fun () ->
-                if w.st = Migrating then begin
-                  w.freeze_state <- Some state;
-                  Condition.broadcast c.cv;
-                  true
-                end
-                else false)
-          in
-          if not accepted then reader c i conn
-      | Ok (Proto.Hello_ack _) -> reader c i conn
-      | Ok (Proto.Metrics_report { payload; _ }) ->
-          (match c.collector with
-          | Some col -> (
-              match Obsv.Agg.decode_report payload with
-              | Ok rep ->
-                  Obsv.Agg.note_report col rep;
-                  (* Pair the report with the coordinator-side view of
-                     this partition's cut edge. *)
-                  let queue, credits =
-                    locked c (fun () ->
-                        ( Queue.length w.pending + Queue.length w.inflight,
-                          w.credits ))
-                  in
-                  Obsv.Agg.note_gauges col ~part:i ~queue ~credits
-                    ~window:c.init_credits
-              | Error _ -> ())
-          | None -> ());
-          reader c i conn
-      | Ok (Proto.Trace_chunk { payload; _ }) ->
-          (match c.collector with
-          | Some col -> (
-              match Obsv.Agg.decode_chunk payload with
-              | Ok ch -> Obsv.Agg.note_chunk col ch
-              | Error _ -> ())
-          | None -> ());
-          reader c i conn
-      | Ok
-          (Proto.Hello _ | Proto.Eof | Proto.Shutdown | Proto.Open_session _
-          | Proto.Session_ack _ | Proto.Close_session _ | Proto.Migrate
-          | Proto.Restore _) ->
-          reader c i conn
-      | Error e -> death c i conn ("protocol error: " ^ e))
-
-(* A worker failure seen by the reader. During a migration freeze the
-   migrating thread owns recovery: flag the failed freeze and get out
-   of its way; otherwise the usual crash path. *)
-and death c i conn reason =
-  let w = c.ws.(i) in
-  let freeze_racing =
-    locked c (fun () ->
-        if w.st = Migrating && w.freeze_state = None && not w.freeze_failed
-        then begin
-          w.freeze_failed <- true;
-          Condition.broadcast c.cv;
-          true
-        end
-        else false)
-  in
-  if freeze_racing then Transport.close conn
-  else handle_death c i conn reason
-
-and handle_death c i conn reason =
-  Transport.close conn;
-  let w = c.ws.(i) in
-  let retrying =
-    locked c (fun () ->
-        if w.retries_left > 0 then begin
-          w.retries_left <- w.retries_left - 1;
-          w.st <- Respawning;
-          Condition.broadcast c.cv;
-          true
-        end
-        else false)
-  in
-  if not retrying then give_up c i reason
+  if gen <> w.gen then ()
+  else if w.held <> [] then Queue.push ev w.stash
   else
-    match respawn_and_resend c i ~prefix:[] with
-    | None -> give_up c i reason
-    | Some conn' ->
-        locked c (fun () ->
-            if w.st = Respawning then w.st <- Alive;
-            Condition.broadcast c.cv);
-        reader c i conn'
+    match msg with
+    | `Closed -> if not w.done_ then death c i "connection closed"
+    | `Msg m -> (
+        match Proto.decode ~ctx:w.wire m with
+        | Ok (Proto.Data r) -> forward c i [ r ]
+        | Ok (Proto.Data_batch rs) ->
+            Obsv.Probe.edge_batch ~name:w.eout ~size:(List.length rs);
+            forward c i rs
+        | Ok (Proto.Credit n) ->
+            w.credits <- w.credits + n;
+            for _ = 1 to min n (Queue.length w.inflight) do
+              ignore (Queue.pop w.inflight)
+            done
+        | Ok Proto.Done ->
+            w.done_ <- true;
+            settled c i
+        | Ok (Proto.Crash reason) -> death c i reason
+        | Ok (Proto.Freeze_ack { state }) -> end_migration c i state
+        | Ok (Proto.Metrics_report { payload; _ }) ->
+            Option.iter
+              (fun col ->
+                Result.iter
+                  (fun rep ->
+                    Obsv.Agg.note_report col rep;
+                    (* Pair the report with the coordinator-side view of
+                       this partition's cut edge. *)
+                    Obsv.Agg.note_gauges col ~part:i
+                      ~queue:(Queue.length w.pending + Queue.length w.inflight)
+                      ~credits:w.credits ~window:c.init_credits)
+                  (Obsv.Agg.decode_report payload))
+              c.collector
+        | Ok (Proto.Trace_chunk { payload; _ }) ->
+            Option.iter
+              (fun col ->
+                Result.iter (Obsv.Agg.note_chunk col)
+                  (Obsv.Agg.decode_chunk payload))
+              c.collector
+        | Ok
+            ( Proto.Hello _ | Proto.Hello_ack _ | Proto.Eof | Proto.Shutdown
+            | Proto.Open_session _ | Proto.Session_ack _
+            | Proto.Close_session _ | Proto.Migrate | Proto.Restore _ ) ->
+            ()
+        | Error e -> death c i ("protocol error: " ^ e))
 
-(* ------------------------------------------------------------------ *)
-(* Live migration: drain — freeze — respawn — resend                   *)
+(* Worker [w]'s routing is held on a full window: when the window has
+   room, push what fits, then replay the frames that queued up behind
+   it, in order, until it is held again. True when anything moved. *)
+let resume c w =
+  match w.held with
+  | (j, _) :: _ when not (full c c.ws.(j)) ->
+      w.held <- push_groups c w.held;
+      while w.held = [] && not (Queue.is_empty w.stash) do
+        on_recv c (Queue.pop w.stash)
+      done;
+      true
+  | _ -> false
 
-(* Move partition [i] onto a fresh worker while the run is live:
-
-   1. mark the partition [Migrating]: its pump parks, producers keep
-      enqueueing (bounded by the credit window);
-   2. send [Migrate]; the worker finishes what it already received,
-      flushes outputs and credits, captures its engine state and
-      answers [Freeze_ack] — after which its inflight window is empty
-      (every envelope was credited before the ack, FIFO);
-   3. respawn via the run's respawn hook, seed the new worker with
-      [Restore], resend any uncredited inflight above the watermark
-      (belt and braces — empty after a clean freeze), and mark the
-      partition [Alive] so the pump resumes.
-
-   A worker that dies mid-freeze falls back to the ordinary crash
-   path (respawn without Restore under the retry budget), with the
-   same exactly-once guarantees as any other death. Returns the
-   downtime in seconds: freeze request to pump release. *)
-let coord_migrate c i =
-  if i < 0 || i >= c.parts then
-    Error (Printf.sprintf "partition %d out of range (parts=%d)" i c.parts)
-  else begin
-    let w = c.ws.(i) in
-    let started =
-      locked c (fun () ->
-          if c.closed then Error "run already finished"
-          else if c.failure <> None then Error "run already failed"
-          else if w.done_ then Error "partition already done"
-          else if w.eof_sent then Error "partition already at end of stream"
-          else if w.st <> Alive then Error "worker not alive"
-          else begin
-            w.st <- Migrating;
-            w.freeze_state <- None;
-            w.freeze_failed <- false;
-            Condition.broadcast c.cv;
-            Ok w.conn
-          end)
-    in
-    match started with
-    | Error _ as e -> e
-    | Ok old_conn -> (
-        let t0 = Unix.gettimeofday () in
-        (try Transport.send old_conn (Proto.encode Proto.Migrate)
-         with _ -> () (* the reader will observe the death *));
-        let state =
-          locked c (fun () ->
-              while
-                w.st = Migrating && w.freeze_state = None
-                && not w.freeze_failed && c.failure = None
-              do
-                Condition.wait c.cv c.mu
-              done;
-              w.freeze_state)
-        in
-        match state with
-        | None ->
-            if c.failure = None && w.freeze_failed then begin
-              (* Mid-freeze death: ordinary crash recovery, in its own
-                 thread — handle_death becomes the new reader. *)
-              let t =
-                Thread.create
-                  (fun () ->
-                    handle_death c i old_conn "worker died during freeze")
-                  ()
-              in
-              locked c (fun () -> c.aux <- t :: c.aux);
-              Error "worker died during freeze; crash recovery engaged"
-            end
-            else begin
-              locked c (fun () ->
-                  if w.st = Migrating then w.st <- Alive;
-                  Condition.broadcast c.cv);
-              Error "run failed during migration"
-            end
-        | Some state -> (
-            Transport.close old_conn;
-            let prefix =
-              match Statecodec.decode state with
-              | Ok st when Snet.Netstate.is_empty st ->
-                  (* A pristine capture: skip the frame so the fresh
-                     worker's path equals a cold start. *)
-                  []
-              | _ -> [ Proto.encode (Proto.Restore { state }) ]
-            in
-            match respawn_and_resend c i ~prefix with
-            | None ->
-                give_up c i "respawn failed during migration";
-                Error "could not spawn a replacement worker"
-            | Some conn' ->
-                let t = Thread.create (fun () -> reader c i conn') () in
-                let downtime =
-                  locked c (fun () ->
-                      c.aux <- t :: c.aux;
-                      if w.st = Migrating then w.st <- Alive;
-                      w.migrations <- w.migrations + 1;
-                      Condition.broadcast c.cv;
-                      Unix.gettimeofday () -. t0)
-                in
-                (match c.collector with
-                | Some col -> Obsv.Agg.note_migration col ~part:i ~downtime
-                | None -> ());
-                Ok downtime))
+(* Route inputs into stage 0 while its windows have room; once the
+   last is in, stage 0's end of stream. True when anything moved. *)
+let feed c =
+  let moved =
+    match c.feed_held with
+    | (j, _) :: _ when not (full c c.ws.(j)) ->
+        c.feed_held <- push_groups c c.feed_held;
+        true
+    | _ -> false
+  in
+  let rec go moved =
+    match c.inputs with
+    | r :: rest when c.failure = None && c.feed_held = [] ->
+        c.inputs <- rest;
+        c.feed_held <- route c 0 [ r ];
+        go true
+    | _ -> moved
+  in
+  let moved = go moved in
+  if c.feed_held = [] && c.inputs = [] && not c.fed then begin
+    c.fed <- true;
+    finish_stage c 0;
+    true
   end
+  else moved
+
+(* Feed, resume held sources and write, until nothing moves: a write
+   frees room, room lets routing push, a push gives a write. *)
+let rec settle c =
+  let moved = feed c in
+  let moved = Array.fold_left (fun m w -> resume c w || m) moved c.ws in
+  let moved = Array.fold_left (fun m w -> write c w || m) moved c.ws in
+  if moved then settle c
+
+let drive c =
+  settle c;
+  while
+    c.failure = None && not (Array.for_all (fun w -> w.done_ || w.st = Dead) c.ws)
+  do
+    Queue.iter
+      (function
+        | Recv ev -> on_recv c ev
+        | Migrate_req (i, reply) -> start_migration c i reply)
+      (take c);
+    settle c
+  done
+
+(* Stop the loop: refuse and answer every request still open, shut
+   the workers down and join every reader. *)
+let teardown c =
+  Atomic.set c.over true;
+  Mutex.lock c.mu;
+  c.closed <- true;
+  let left = Queue.create () in
+  Queue.transfer c.inbox left;
+  Mutex.unlock c.mu;
+  let refusal =
+    if c.failure = None then "run already finished" else "run already failed"
+  in
+  Queue.iter
+    (function
+      | Migrate_req (_, reply) -> answer reply (Error refusal)
+      | Recv _ -> ())
+    left;
+  Array.iter
+    (fun w ->
+      Option.iter
+        (fun (reply, _) -> answer reply (Error "run failed during migration"))
+        w.freeze;
+      if w.st = Alive then attempt_send w.conn Proto.Shutdown;
+      Transport.close w.conn)
+    c.ws;
+  List.iter Thread.join c.readers
 
 (* ------------------------------------------------------------------ *)
 (* Run handle: the balancer's window into a live run                   *)
 
 type handle = { h_coord : coord; h_plan : Plan.t }
 
-let migrate h i = coord_migrate h.h_coord i
+let migrate h i =
+  let c = h.h_coord in
+  if i < 0 || i >= c.parts then
+    Error (Printf.sprintf "partition %d out of range (parts=%d)" i c.parts)
+  else if Thread.id (Thread.self ()) = c.loop_id then
+    Error "migrate called on the coordinator's own thread"
+  else
+    let reply = Event.new_channel () in
+    if post c (Migrate_req (i, reply)) then Event.sync (Event.receive reply)
+    else Error "run already finished"
+
 let handle_parts h = h.h_coord.parts
 let handle_plan h = h.h_plan
-
-let handle_finished h =
-  locked h.h_coord (fun () ->
-      h.h_coord.closed || h.h_coord.failure <> None)
+let handle_finished h = Atomic.get h.h_coord.over
 
 (* ------------------------------------------------------------------ *)
 
@@ -1037,7 +1055,8 @@ let place_of ~plan part =
       Printf.sprintf "seg %d shard %d/%d" seg (part - Plan.base plan s) shards
 
 (* [conns] already carry a delivered Hello; [respawn i] must likewise
-   hand back a freshly greeted connection. *)
+   hand back a freshly greeted connection. The calling thread runs the
+   loop. *)
 let coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns ~policy
     ~stats ~credits ~batch ~respawn inputs =
   let stage_of = Array.make parts 0 in
@@ -1049,14 +1068,16 @@ let coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns ~policy
     routes;
   let c =
     {
-      mu = Mutex.create ();
-      cv = Condition.create ();
       ws =
         Array.mapi
           (fun i conn ->
             {
               idx = i;
+              ein = Printf.sprintf "dist:w%d.in" i;
+              eout = Printf.sprintf "dist:w%d.out" i;
               conn;
+              gen = 0;
+              wire = Wire.ctx ();
               st = Alive;
               done_ = false;
               eof_requested = false;
@@ -1067,9 +1088,9 @@ let coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns ~policy
               watermark = -1;
               retries_left =
                 (match policy with Snet.Supervise.Retry n -> n | _ -> 0);
-              freeze_state = None;
-              freeze_failed = false;
-              migrations = 0;
+              held = [];
+              stash = Queue.create ();
+              freeze = None;
             })
           (Array.of_list conns);
       parts;
@@ -1085,64 +1106,42 @@ let coordinate ?tap ?collector ?on_handle ~plan ~routes ~parts ~conns ~policy
       next_seq = 0;
       outputs_rev = [];
       failure = None;
-      aux = [];
+      inputs;
+      feed_held = [];
+      fed = false;
+      readers = [];
+      loop_id = Thread.id (Thread.self ());
+      mu = Mutex.create ();
+      cv = Condition.create ();
+      inbox = Queue.create ();
+      idle = false;
       closed = false;
+      over = Atomic.make false;
     }
   in
-  (match c.collector with
-  | Some col ->
+  Option.iter
+    (fun col ->
       Array.iteri
         (fun i _ -> Obsv.Agg.note_place col ~part:i ~place:(place_of ~plan i))
-        c.ws
-  | None -> ());
-  let readers =
-    Array.to_list
-      (Array.map
-         (fun w -> Thread.create (fun () -> reader c w.idx w.conn) ())
-         c.ws)
-  in
-  let pumps =
-    Array.to_list
-      (Array.map (fun w -> Thread.create (fun () -> pump c w.idx) ()) c.ws)
-  in
-  (match on_handle with
-  | Some f -> f { h_coord = c; h_plan = plan }
-  | None -> ());
-  List.iter
-    (fun r ->
-      let stop = locked c (fun () -> c.failure <> None) in
-      if not stop then route c 0 [ r ])
-    inputs;
-  finish_stage c 0;
-  locked c (fun () ->
-      while
-        c.failure = None
-        && not (Array.for_all (fun w -> w.done_ || w.st = Dead) c.ws)
-      do
-        Condition.wait c.cv c.mu
-      done);
-  locked c (fun () -> c.closed <- true);
-  List.iter Thread.join pumps;
-  Array.iter
-    (fun w -> if w.st = Alive then attempt_send w.conn Proto.Shutdown)
-    c.ws;
-  Array.iter (fun w -> Transport.close w.conn) c.ws;
-  List.iter Thread.join readers;
-  List.iter Thread.join (locked c (fun () -> c.aux));
+        c.ws)
+    c.collector;
+  Array.iter (start_reader c) c.ws;
+  Fun.protect
+    ~finally:(fun () -> teardown c)
+    (fun () ->
+      Option.iter (fun f -> f { h_coord = c; h_plan = plan }) on_handle;
+      drive c);
   (* Final gauge sweep: every partition's health row reflects the edge
      state at the end of the run, even if it never sent a report. *)
-  (match c.collector with
-  | Some col ->
+  Option.iter
+    (fun col ->
       Array.iter
         (fun w ->
-          let queue, credits =
-            locked c (fun () ->
-                (Queue.length w.pending + Queue.length w.inflight, w.credits))
-          in
-          Obsv.Agg.note_gauges col ~part:w.idx ~queue ~credits
-            ~window:c.init_credits)
-        c.ws
-  | None -> ());
+          Obsv.Agg.note_gauges col ~part:w.idx
+            ~queue:(Queue.length w.pending + Queue.length w.inflight)
+            ~credits:w.credits ~window:c.init_credits)
+        c.ws)
+    c.collector;
   match c.failure with
   | Some msg -> failwith ("Engine_dist: " ^ msg)
   | None -> List.rev c.outputs_rev

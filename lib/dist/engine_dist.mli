@@ -24,26 +24,35 @@
     {2 Flow control and batching}
 
     A cut edge carries a credit window of [credits] records: the
-    coordinator decrements a credit per record sent and parks when the
-    window is exhausted; the worker returns credits as input records
+    coordinator decrements a credit per record sent and writes no more
+    records to the edge once the window is exhausted; the worker returns credits as input records
     are fully processed (one [Credit k] per input envelope). Stalls are
     counted into {!Snet.Stats.record_backpressure} and surfaced as
     [Obsv.Probe.edge_stall] on the [dist:wN.in] edge — the same
     backpressure contract bounded mailboxes give the shared-memory
     engines.
 
-    Each cut edge has a {e sender pump}: records are routed onto a
-    pending queue (bounded by the credit window) and the pump coalesces
-    whatever is queued — up to [min credits batch] records — into one
-    [Proto.Data_batch] envelope and one coalesced transport write.
-    Under light load the pending queue is empty when a record arrives,
-    so it leaves immediately (a singleton envelope is a plain [Data]);
-    under load, envelopes fill and per-record syscall/framing cost
-    amortises away. End-of-stream is two-phase: the pump sends the wire
-    [Eof] only after the pending queue drains, and sending it needs no
-    credit — so a full window plus an Eof can never park the edge.
-    [batch = 1] disables batching entirely; the default envelope cap
-    is {!default_batch}.
+    One coordinator thread — the caller of {!run}/{!run_spawned} —
+    runs an event loop that alone owns every cut edge's state:
+    routing, sequence stamps, credits, watermarks, respawns and
+    migrations. One reader thread per connection only receives: it
+    posts each frame to the loop's inbox and never waits on the loop.
+    Records are routed onto a per-edge pending queue bounded by the
+    credit window, and the loop writes whatever is queued — up to
+    [min credits batch] records per [Proto.Data_batch] envelope — in
+    one coalesced transport write per edge and turn. Under light load
+    the pending queue is empty when a record arrives, so it leaves
+    immediately (a singleton envelope is a plain [Data]); under load,
+    envelopes fill and per-record syscall/framing cost amortises away.
+    Inputs are fed only while partition 0's window has room; a
+    worker's output batch that meets a full destination window is
+    held, and that worker's later frames (credits included) wait
+    behind it until room frees — the backpressure of a blocked
+    producer, with no thread blocked. End-of-stream is two-phase: the
+    wire [Eof] goes out only after the pending queue drains, and
+    sending it needs no credit — so a full window plus an Eof can
+    never park the edge. [batch = 1] disables batching entirely; the
+    default envelope cap is {!default_batch}.
 
     {2 Worker failure}
 
@@ -134,9 +143,10 @@ val segments : Snet.Net.t -> Snet.Net.t list
     while the run is in flight. {!migrate} executes the three-step
     drain/freeze/respawn protocol on one partition:
 
-    + the partition is marked migrating: its sender pump parks while
-      producers keep enqueueing, bounded by the credit window as
-      usual, and a [Proto.Migrate] frame is sent;
+    + the coordinator loop marks the partition migrating and sends a
+      [Proto.Migrate] frame; from then on it writes nothing to the
+      partition while routing keeps enqueueing onto it, bounded by
+      the credit window as usual;
     + the worker finishes every input it already received, flushes the
       outputs and credits, captures its engine state at quiescence and
       answers [Proto.Freeze_ack] (workers process strictly in order
@@ -162,8 +172,11 @@ val migrate : handle -> int -> (float, string) result
     partition is at end of stream or already migrating/dead, no
     replacement could be spawned, or the worker died during the
     freeze (crash recovery then proceeds per the supervision policy).
-    Blocks its caller for the duration; safe to call from any thread,
-    one migration per partition at a time. *)
+    Posts the request to the coordinator loop and blocks its caller
+    until the loop answers; safe to call from any thread but the one
+    running the run (from there, as from [on_handle], it is refused
+    instead of waiting on itself), one migration per partition at a
+    time. *)
 
 val handle_parts : handle -> int
 (** Partition count of the running net. *)

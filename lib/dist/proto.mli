@@ -134,8 +134,8 @@ val serve_spec : string
     worker partition. *)
 
 val encode : ?ctx:Wire.ctx -> msg -> string
-(** [ctx] hoists codec lookups and encode scratch across calls (edge
-    pumps hold one per connection); without it a per-domain default is
+(** [ctx] hoists codec lookups and encode scratch across calls (the
+    coordinator loop holds one per partition); without it a per-domain default is
     used. @raise Wire.Unencodable on a [Data]/[Data_batch] record with
     unregistered field keys. *)
 

@@ -87,7 +87,11 @@ module Tcp = struct
   type t = {
     fd : Unix.file_descr;
     mutable open_ : bool;
-    mu : Mutex.t;  (* guards the open_ flag *)
+    (* A recv is under way: [close] then leaves the fd to it, so the
+       descriptor is never released — and its number reused by a new
+       connection — under a reader that is about to read it again. *)
+    mutable reading : bool;
+    mu : Mutex.t;  (* guards open_ and reading *)
     wmu : Mutex.t;
         (* serialises writers: prefix+payload of one message (and the
            messages of one [send_many]) must hit the stream
@@ -109,6 +113,7 @@ module Tcp = struct
     {
       fd;
       open_ = true;
+      reading = false;
       mu = Mutex.create ();
       wmu = Mutex.create ();
       scratch = Bytes.create 4096;
@@ -176,7 +181,7 @@ module Tcp = struct
 
   let send t m = send_many t [ m ]
 
-  let recv t =
+  let read_msg t =
     let hdr = Bytes.create 4 in
     match really_read t.fd hdr 0 4 with
     | false -> `Closed
@@ -191,14 +196,31 @@ module Tcp = struct
           | false -> `Closed
           | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) -> `Closed)
 
+  let recv t =
+    Mutex.lock t.mu;
+    let live = t.open_ in
+    t.reading <- live;
+    Mutex.unlock t.mu;
+    if not live then `Closed
+    else
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.lock t.mu;
+          t.reading <- false;
+          let release = not t.open_ in
+          Mutex.unlock t.mu;
+          if release then try Unix.close t.fd with _ -> ())
+        (fun () -> read_msg t)
+
   let close t =
     Mutex.lock t.mu;
-    let was_open = t.open_ in
+    let was_open = t.open_ and reading = t.reading in
     t.open_ <- false;
     Mutex.unlock t.mu;
     if was_open then begin
+      (* Wakes a blocked recv, which then releases the fd itself. *)
       (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with _ -> ());
-      try Unix.close t.fd with _ -> ()
+      if not reading then try Unix.close t.fd with _ -> ()
     end
 
   let peer t = t.peer_name

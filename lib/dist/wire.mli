@@ -90,7 +90,7 @@ val float_key : float Snet.Value.Key.key
 type ctx
 (** Reusable encode/decode state: scratch arena + cached codec
     resolutions. Not safe for concurrent use by two threads — give
-    each edge pump / reader loop its own. *)
+    each thread that encodes or decodes its own. *)
 
 val ctx : unit -> ctx
 

@@ -45,7 +45,7 @@ let now () = !clock ()
    [head] counts events ever written; the slot is [head mod capacity],
    so a full ring overwrites its oldest entries (drop-oldest) and the
    overflow is [head - capacity]. Threads sharing a domain (e.g. the
-   dist coordinator's pump threads) get unique slots from the atomic
+   dist coordinator's reader threads) get unique slots from the atomic
    fetch-and-add on [head]. *)
 type ring = { slots : event array; head : int Atomic.t; gen : int }
 

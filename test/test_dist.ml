@@ -1223,6 +1223,44 @@ let test_batched_routing_stress_tcp () =
         (Sudoku.Networks.shard ~shards:2 ())
         (shard_inputs stress_records)
 
+(* The downstream window bound: the fan-out partition's output batches
+   are eight times its input envelopes and feed a throttled shard
+   replica, so routing keeps meeting a full window on dist:w1.in and
+   must hold the rest of a batch instead of queueing it. The
+   coordinator's queue on that edge — pending plus in flight, the
+   depth every send records — never exceeds twice the window. *)
+let test_downstream_window_bound () =
+  let inputs = shard_inputs 120 in
+  let net = fanout_shard_net () in
+  let reference = Snet.Engine_seq.run net inputs in
+  Obsv.Metrics.enable ();
+  Fun.protect ~finally:Obsv.Metrics.disable (fun () ->
+      List.iter
+        (fun credits ->
+          let label = Printf.sprintf "credits=%d" credits in
+          Obsv.Metrics.clear ();
+          let outs =
+            within ~seconds:60. label (fun () ->
+                Engine_dist.run ~workers:(Plan.parts fanout_plan)
+                  ~plan:fanout_plan ~batch:64 ~credits
+                  ~worker_throttle:(1, 100) net inputs)
+          in
+          Alcotest.(check bool) (label ^ ": multiset = seq") true
+            (multiset_eq reference outs);
+          match
+            List.assoc_opt "dist:w1.in" (Obsv.Metrics.snapshot ()).Obsv.Metrics.edges
+          with
+          | None -> Alcotest.failf "%s: dist:w1.in never recorded" label
+          | Some e ->
+              Alcotest.(check bool) (label ^ ": the edge carried records") true
+                (e.Obsv.Metrics.sends > 0);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: queue high-water mark %d <= %d" label
+                   e.Obsv.Metrics.hwm (2 * credits))
+                true
+                (e.Obsv.Metrics.hwm <= 2 * credits))
+        [ 1; 2; 32 ])
+
 (* ------------------------------------------------------------------ *)
 (* Live migration                                                      *)
 
@@ -1440,6 +1478,8 @@ let suite =
       test_batched_routing_stress;
     Alcotest.test_case "batched routing stress over TCP (smoke)" `Quick
       test_batched_routing_stress_tcp;
+    Alcotest.test_case "downstream window bound" `Quick
+      test_downstream_window_bound;
     Alcotest.test_case "migrate mid-run" `Quick test_migrate_mid_run;
     Alcotest.test_case "migrate carries engine state" `Quick
       test_migrate_carries_state;

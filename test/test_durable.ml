@@ -879,26 +879,38 @@ let test_replay_dist_crash_resume () =
    its credit was observed ([crash_flush]) then recomputed those
    outputs — duplicates in the global output. The per-worker sequence
    watermark (tag [dist_seq], carried through by flow inheritance)
-   drops the already-processed prefix of the resend. *)
+   drops the already-processed prefix of the resend.
+
+   One puzzle sends a single record across the cut, so the stream is
+   24 puzzles and the kill points fall inside worker 1's envelopes,
+   where the crashing envelope has outputs to flush. The same kill
+   under fail-fast must fail the run: proof that it fired. *)
 let test_watermark_no_duplicate_resend () =
-  let board = Sudoku.Puzzles.easy in
-  let reference =
-    Snet.Engine_seq.run (Sudoku.Networks.fig2 ()) (solve_inputs board)
+  let boards =
+    List.init 24 (fun k ->
+        (List.nth Sudoku.Puzzles.all (k mod 4)).Sudoku.Puzzles.board)
   in
+  let inputs () = List.concat_map solve_inputs boards in
+  let reference = Snet.Engine_seq.run (Sudoku.Networks.fig2 ()) (inputs ()) in
   List.iter
     (fun after ->
-      let outs =
+      let run ?supervision () =
         Engine_dist.run ~workers:2 ~kill_worker:(1, after) ~crash_flush:true
-          ~supervision:(Snet.Supervise.make ~policy:(Snet.Supervise.Retry 2) ())
-          (Sudoku.Networks.fig2 ())
-          (solve_inputs board)
+          ?supervision (Sudoku.Networks.fig2 ()) (inputs ())
       in
+      (match run () with
+      | _ -> Alcotest.failf "kill after %d records never fired" after
+      | exception Failure _ -> ());
       Alcotest.(check bool)
         (Printf.sprintf
            "crash-flush after %d records: no duplicates, nothing lost" after)
         true
-        (multiset_eq reference outs))
-    [ 1; 3 ]
+        (multiset_eq reference
+           (run
+              ~supervision:
+                (Snet.Supervise.make ~policy:(Snet.Supervise.Retry 2) ())
+              ())))
+    [ 3; 13 ]
 
 let test_watermark_stripped_from_output () =
   let board = Sudoku.Puzzles.easy in
