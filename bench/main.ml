@@ -1285,6 +1285,21 @@ let exp_dist () =
   in
   let frame = Dist.Wire.render r in
   let frame_bytes = String.length frame in
+  (* What a record costs inside a 32-record Data_batch envelope, which
+     names each variant once and then carries values only: this record,
+     and dist-stream's three-tag record next to its own frame. *)
+  let envelope_bytes rs =
+    float_of_int
+      (String.length (Dist.Proto.encode (Dist.Proto.Data_batch rs)))
+    /. float_of_int (List.length rs)
+  in
+  let tag_only i =
+    Snet.Record.of_list ~fields:[]
+      ~tags:[ ("bid", i); ("dist_seq", i); ("x", i * 7919) ]
+  in
+  let tag_frame_bytes = String.length (Dist.Wire.render (tag_only 0)) in
+  let env_tag_only = envelope_bytes (List.init 32 tag_only) in
+  let env_fig2 = envelope_bytes (List.init 32 (fun _ -> r)) in
   collect "wire codec on a mid-pipeline sudoku record"
     [
       Test.make ~name:"wire/encode"
@@ -1463,14 +1478,17 @@ let exp_dist () =
     \  loopback overhead vs channel: %s/record (bar: <= %s)\n\
     \  amortized batched overhead: loopback b8 %s b64 %s | tcp b8 %s b64 %s \
      per record (bar: <= %s at best)\n\
-    \  fig2 speedup dist-loopback-2w / seq: %.2fx\n"
+    \  fig2 speedup dist-loopback-2w / seq: %.2fx\n\
+    \  envelope bytes per record (b32): board+opts %.1f (frame %d) | \
+     three tags %.1f (frame %d)\n"
     frame_bytes (pretty_ns encode_ns) (mbps encode_ns) (pretty_ns decode_ns)
     (mbps decode_ns) (pretty_ns chan_ns) (pretty_ns lo_ns) (pretty_ns tcp_ns)
     (pretty_ns (lob 1)) (pretty_ns (lob 8)) (pretty_ns (lob 64))
     (pretty_ns (tcb 1)) (pretty_ns (tcb 8)) (pretty_ns (tcb 64))
     (pretty_ns overhead_ns) (pretty_ns bar_ns) (pretty_ns lo_amort8)
     (pretty_ns lo_amort64) (pretty_ns tcp_amort8) (pretty_ns tcp_amort64)
-    (pretty_ns batched_bar_ns) speedup;
+    (pretty_ns batched_bar_ns) speedup env_fig2 frame_bytes env_tag_only
+    tag_frame_bytes;
   if (not (Float.is_nan speedup)) && speedup < 1.0 then
     Printf.printf
       "  WARNING: distributed fig2 is %.2fx the sequential engine (< 1.0): \
@@ -1483,6 +1501,13 @@ let exp_dist () =
          ("bench", Obsv.Jsonx.Str "dist");
          ("smoke", Obsv.Jsonx.Bool smoke);
          ("frame_bytes", jint frame_bytes);
+         ( "envelope_bytes_per_record",
+           Obsv.Jsonx.Obj
+             [
+               ("board_opts_b32", jnum env_fig2);
+               ("three_tags_b32", jnum env_tag_only);
+               ("three_tags_frame", jint tag_frame_bytes);
+             ] );
          ( "wire_ns",
            Obsv.Jsonx.Obj
              [ ("encode", jnum encode_ns); ("decode", jnum decode_ns) ] );

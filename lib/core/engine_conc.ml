@@ -427,12 +427,11 @@ let feed eng r =
   (* Admission check, once per distinct input variant. A variant is
      marked checked only after [Typecheck.flow] accepts it, so a
      rejected variant stays rejected on every later feed. *)
-  let v = Rectype.Variant.of_record r in
-  let key = (Rectype.Variant.fields v, Rectype.Variant.tags v) in
+  let key = (Record.field_labels r, Record.tag_labels r) in
   Mutex.lock eng.imutex;
   if not (Hashtbl.mem eng.checked key) then begin
     Mutex.unlock eng.imutex;
-    ignore (Typecheck.flow [ v ] eng.net);
+    ignore (Typecheck.flow [ Rectype.Variant.of_record r ] eng.net);
     Mutex.lock eng.imutex;
     Hashtbl.replace eng.checked key ()
   end;

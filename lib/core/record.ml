@@ -37,9 +37,17 @@ let has_tag l t = SMap.mem l t.tmap
 
 let fields t = SMap.bindings t.fmap
 let tags t = SMap.bindings t.tmap
-let field_labels t = List.map fst (fields t)
-let tag_labels t = List.map fst (tags t)
+let labels m = List.rev (SMap.fold (fun l _ acc -> l :: acc) m [])
+let field_labels t = labels t.fmap
+let tag_labels t = labels t.tmap
 let arity t = SMap.cardinal t.fmap + SMap.cardinal t.tmap
+
+(* [SMap.mapi] visits keys in increasing order and keeps the tree's
+   shape, so a template is refilled with one node per label. *)
+let map_values ~tag ~field t =
+  let tmap = SMap.mapi tag t.tmap in
+  let fmap = SMap.mapi field t.fmap in
+  { fmap; tmap }
 
 let excess ~consumed_fields ~consumed_tags t =
   {

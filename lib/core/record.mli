@@ -48,6 +48,13 @@ val tag_labels : t -> string list
 val arity : t -> int
 (** Total number of labels. *)
 
+val map_values :
+  tag:(string -> int -> int) -> field:(string -> Value.t -> Value.t) -> t -> t
+(** The record with the same labels and every value replaced: [tag] is
+    called on each tag, then [field] on each field, each in label
+    order. Decoders use it to fill a template of a known label set
+    without re-sorting the labels. *)
+
 (** {1 Flow inheritance}
 
     When a component consumes a record whose type is a proper subtype

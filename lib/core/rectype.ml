@@ -34,7 +34,10 @@ module Variant = struct
     }
 
   let has_tag tag v = SSet.mem tag v.vtags
-  let accepts v r = subtype (of_record r) v
+  (* Probes the record's maps label by label: no variant is built. *)
+  let accepts v r =
+    SSet.for_all (fun l -> Record.has_field l r) v.vfields
+    && SSet.for_all (fun l -> Record.has_tag l r) v.vtags
 
   let match_score v r = if accepts v r then Some (arity v) else None
 

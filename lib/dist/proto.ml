@@ -61,7 +61,7 @@ let k_restore = 17
 (* The Hello spec under which a connection negotiates the session
    sub-protocol (Open_session/Session_ack/Close_session) instead of a
    worker partition. *)
-let serve_spec = "serve/1"
+let serve_spec = "serve/2"
 
 let add_u32 b n = Buffer.add_int32_be b (Int32.of_int n)
 
@@ -71,6 +71,10 @@ let add_str b s =
   Buffer.add_string b s
 
 let encode ?ctx m =
+  match m with
+  | Data r -> Wire.envelope ?ctx ~prefix:(Char.chr k_data) [ r ]
+  | Data_batch rs -> Wire.envelope ?ctx ~prefix:(Char.chr k_data_batch) rs
+  | _ ->
   let b = Buffer.create 64 in
   (match m with
   | Hello h ->
@@ -94,30 +98,7 @@ let encode ?ctx m =
   | Hello_ack { part } ->
       Buffer.add_uint8 b k_hello_ack;
       add_u32 b part
-  | Data r ->
-      Buffer.add_uint8 b k_data;
-      Buffer.add_string b (Wire.render ?ctx r)
-  | Data_batch rs ->
-      (* Envelope: u32 frame count, then per record a u32 frame length
-         and the complete Wire frame — each frame keeps its own
-         magic/CRC protection, so a corrupted envelope is rejected
-         frame by frame on decode. *)
-      Buffer.add_uint8 b k_data_batch;
-      add_u32 b (List.length rs);
-      let render_one =
-        match ctx with
-        | Some c ->
-            fun r ->
-              let buf, len = Wire.render_view c r in
-              add_u32 b len;
-              Buffer.add_subbytes b buf 0 len
-        | None ->
-            fun r ->
-              let f = Wire.render r in
-              add_u32 b (String.length f);
-              Buffer.add_string b f
-      in
-      List.iter render_one rs
+  | Data _ | Data_batch _ -> assert false (* encoded above *)
   | Credit n ->
       Buffer.add_uint8 b k_credit;
       add_u32 b n
@@ -286,32 +267,18 @@ let decode ?ctx s =
              })
     | k when k = k_hello_ack -> finish (Hello_ack { part = u32 () })
     | k when k = k_data -> (
-        let dec c =
-          match Wire.read_sub c s ~pos:1 ~len:(len - 1) with
-          | Ok r -> Data r
-          | Error e -> raise (Bad ("bad record frame: " ^ e))
-        in
-        match ctx with
-        | Some c -> dec c
-        | None -> (
-            match Wire.read (String.sub s 1 (len - 1)) with
-            | Ok r -> Data r
-            | Error e -> raise (Bad ("bad record frame: " ^ e))))
-    | k when k = k_data_batch ->
-        let n = u32 () in
-        let c = match ctx with Some c -> c | None -> Wire.ctx () in
-        let rs =
-          List.init n (fun i ->
-              let flen = u32 () in
-              need flen;
-              let fpos = !pos in
-              pos := !pos + flen;
-              match Wire.read_sub c s ~pos:fpos ~len:flen with
-              | Ok r -> r
-              | Error e ->
-                  raise (Bad (Printf.sprintf "bad record frame %d/%d: %s" (i + 1) n e)))
-        in
-        finish (Data_batch rs)
+        match Wire.read_envelope ?ctx s ~pos:1 with
+        | Ok [ r ] -> Data r
+        | Ok rs ->
+            raise
+              (Bad
+                 (Printf.sprintf "Data envelope holds %d records, not 1"
+                    (List.length rs)))
+        | Error e -> raise (Bad ("bad Data envelope: " ^ e)))
+    | k when k = k_data_batch -> (
+        match Wire.read_envelope ?ctx s ~pos:1 with
+        | Ok rs -> Data_batch rs
+        | Error e -> raise (Bad ("bad Data_batch envelope: " ^ e)))
     | k when k = k_credit -> finish (Credit (u32 ()))
     | k when k = k_eof -> finish Eof
     | k when k = k_done -> finish Done

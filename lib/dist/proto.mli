@@ -1,15 +1,14 @@
 (** Coordinator ⇄ worker messages of the partitioned engine.
 
     Each message travels as one transport frame: a one-byte kind
-    followed by a kind-specific payload; [Data] payloads are complete
-    {!Wire} record frames, so the record layer's magic/version/CRC
-    protection applies to every record that crosses a process
-    boundary. [Data_batch] packs many such frames into one envelope —
-    u32 frame count, then per record a u32 length and the frame — so a
-    loaded cut edge pays one transport send (one syscall pair over
-    TCP) for a whole run of records; every frame inside the envelope
-    keeps its own CRC, so corruption and truncation are still detected
-    per record. *)
+    followed by a kind-specific payload. [Data] and [Data_batch] carry
+    a versioned {!Wire} envelope: a table of the variants (label sets)
+    its records use, then per record a variant index and the values
+    only, then one CRC-32 over the whole envelope. [Data] is an envelope of
+    exactly one record; [Data_batch] packs a run of records, so a
+    loaded cut edge pays one transport send (one syscall pair over TCP)
+    and one CRC for the run. Corruption or truncation anywhere in an
+    envelope rejects the whole envelope. *)
 
 type hello = {
   spec : string;
@@ -129,9 +128,11 @@ type msg =
           [Hello]/[Hello_ack], before any [Data]. *)
 
 val serve_spec : string
-(** The {!hello.spec} value (["serve/1"]) under which a connection
+(** The {!hello.spec} value (["serve/2"]) under which a connection
     negotiates the session sub-protocol of [snet_serve] instead of a
-    worker partition. *)
+    worker partition. Its number names the wire version: a peer from
+    before [Data] carried envelopes says ["serve/1"] and is refused at
+    [Hello]. *)
 
 val encode : ?ctx:Wire.ctx -> msg -> string
 (** [ctx] hoists codec lookups and encode scratch across calls (the
@@ -147,8 +148,9 @@ val data_msgs :
     splitter of every cut edge and serve session. *)
 
 val decode : ?ctx:Wire.ctx -> string -> (msg, string) result
-(** A [Data_batch] envelope is rejected whole when any contained frame
-    is truncated, corrupt, or followed by trailing bytes. *)
+(** A [Data] or [Data_batch] envelope is rejected whole when its CRC,
+    its variant table, any variant index or any value does not check
+    out (see {!Wire.read_envelope}). *)
 
 val to_string : msg -> string
 (** One-line rendering for logs and error messages. *)

@@ -142,7 +142,7 @@ let a_u32 a v =
   Bytes.set_int32_be a.abuf a.alen (Int32.of_int v);
   a.alen <- a.alen + 4
 
-let a_i64 a v =
+let[@inline] a_i64 a v =
   arena_reserve a 8;
   Bytes.set_int64_be a.abuf a.alen v;
   a.alen <- a.alen + 8
@@ -156,6 +156,16 @@ let a_string a s =
 let a_str16 a s =
   a_u16 a (String.length s);
   a_string a s
+
+(* Unsigned LEB128: one byte below 128. *)
+let a_varint a v =
+  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Wire: varint out of range";
+  let v = ref v in
+  while !v >= 0x80 do
+    a_u8 a (!v land 0x7F lor 0x80);
+    v := !v lsr 7
+  done;
+  a_u8 a !v
 
 (* Reserve a u32 slot, returning its position for {!a_patch_u32}. *)
 let a_mark_u32 a =
@@ -196,12 +206,6 @@ let get_u32 cur =
   cur.pos <- cur.pos + 4;
   v
 
-let get_i64 cur =
-  need cur 8;
-  let v = String.get_int64_be cur.src cur.pos in
-  cur.pos <- cur.pos + 8;
-  v
-
 let get_bytes cur n =
   need cur n;
   let s = String.sub cur.src cur.pos n in
@@ -209,6 +213,15 @@ let get_bytes cur n =
   s
 
 let get_str16 cur = get_bytes cur (get_u16 cur)
+
+let rec get_varint_from cur acc shift =
+  let b = get_u8 cur in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b < 0x80 then acc
+  else if shift >= 28 then raise (Bad "varint longer than 32 bits")
+  else get_varint_from cur acc (shift + 7)
+
+let get_varint cur = get_varint_from cur 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Codec registry, keyed by Value key name                             *)
@@ -267,8 +280,25 @@ let registered name = lookup name <> None
 (* ------------------------------------------------------------------ *)
 (* Contexts: per-edge scratch arena and codec cache                    *)
 
+(* One entry of an envelope's variant table: a label set, each field
+   with the name of its codec, in canonical (sorted) order, plus the
+   codecs resolved for it. *)
+type variant = {
+  tag_labels : string array;
+  field_labels : string array;
+  key_names : string array;
+  codecs : codec array;
+}
+
 type ctx = {
   carena : arena;
+  (* An envelope's record section, written before its table is known. *)
+  recs : arena;
+  (* Decoder: the last table read, as bytes and parsed, and the
+     registry generation its codecs were resolved in. *)
+  mutable last_table : string;
+  mutable last_parsed : (variant * Snet.Record.t) array;
+  mutable last_gen : int;
   cache : (string, codec) Hashtbl.t;
   mutable cache_gen : int;
   (* Claimed flag for the shared per-domain default ctx: sys-threads of
@@ -280,6 +310,10 @@ type ctx = {
 let ctx () =
   {
     carena = arena_create 512;
+    recs = arena_create 512;
+    last_table = "";
+    last_parsed = [||];
+    last_gen = -1;
     cache = Hashtbl.create 8;
     cache_gen = Atomic.get registry_gen;
     claimed = Atomic.make false;
@@ -557,140 +591,158 @@ let () =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Frames                                                              *)
+(* Values: the one core under frames and envelopes                     *)
+
+(* A tag value is an i64; a field value is a u32 payload length and
+   the payload its codec writes. Frames and envelopes differ only in
+   where the labels and codec names go: inline per record in a frame,
+   once per variant in an envelope. *)
 
 exception Unencodable of string
 
-(* Append one complete frame to the ctx arena (which is NOT cleared:
-   batch envelopes render many frames back to back). Codec payloads
-   stream straight into the arena behind a backpatched u32 length. *)
-let render_append c r =
-  let a = c.carena in
-  a_string a magic;
-  a_u8 a version;
-  let body_len_at = a_mark_u32 a in
-  let body_start = a.alen in
-  let tags = Snet.Record.tags r and fields = Snet.Record.fields r in
-  a_u16 a (List.length tags);
-  List.iter
-    (fun (label, v) ->
-      a_str16 a label;
-      a_i64 a (Int64.of_int v))
-    tags;
-  a_u16 a (List.length fields);
-  List.iter
-    (fun (label, v) ->
-      let key_name = Snet.Value.key_name v in
-      a_str16 a label;
-      a_str16 a key_name;
-      let payload_len_at = a_mark_u32 a in
-      let payload_start = a.alen in
-      (match cached_lookup c key_name with
-      | None ->
-          raise
-            (Unencodable
-               (Printf.sprintf
-                  "no codec registered for key %S (field %S); call \
-                   Dist.Wire.register"
-                  key_name label))
-      | Some codec ->
-          if not (codec.enc a v) then
-            raise
-              (Unencodable
-                 (Printf.sprintf
-                    "field %S: value carries key name %S but was injected \
-                     under a different key of that name"
-                    label key_name)));
-      a_patch_u32 a payload_len_at (a.alen - payload_start))
-    fields;
-  a_patch_u32 a body_len_at (a.alen - body_start);
-  a_u32 a (crc32_bytes_sub a.abuf body_start (a.alen - body_start))
+let unencodable fmt = Printf.ksprintf (fun m -> raise (Unencodable m)) fmt
 
-let render_view c r =
-  arena_clear c.carena;
-  render_append c r;
-  (c.carena.abuf, c.carena.alen)
+let codec_for_encode c label key_name =
+  match cached_lookup c key_name with
+  | Some codec -> codec
+  | None ->
+      unencodable
+        "no codec registered for key %S (field %S); call Dist.Wire.register"
+        key_name label
 
-let render ?ctx:ctx_opt r =
-  with_ctx ctx_opt (fun c ->
-      let buf, len = render_view c r in
-      Bytes.sub_string buf 0 len)
-
-let read_sub c s ~pos ~len =
-  match
-    if len < 13 then raise (Bad "frame shorter than the 13-byte envelope");
-    if pos < 0 || pos + len > String.length s then
-      raise (Bad "frame region out of bounds");
-    if
-      not
-        (s.[pos] = 'S' && s.[pos + 1] = 'N' && s.[pos + 2] = 'R'
-        && s.[pos + 3] = 'W')
-    then raise (Bad (Printf.sprintf "bad magic %S" (String.sub s pos 4)));
-    let v = Char.code s.[pos + 4] in
-    if v <> version then
-      raise (Bad (Printf.sprintf "unsupported version %d (expected %d)" v version));
-    let body_len =
-      Int32.to_int (String.get_int32_be s (pos + 5)) land 0xFFFFFFFF
-    in
-    if len <> 13 + body_len then
+let codec_for_decode c label key_name =
+  match cached_lookup c key_name with
+  | Some codec -> codec
+  | None ->
       raise
         (Bad
-           (Printf.sprintf
-              "frame length %d disagrees with header body length %d" len
-              body_len));
-    let body_start = pos + 9 in
-    let declared =
-      Int32.to_int (String.get_int32_be s (body_start + body_len))
-      land 0xFFFFFFFF
-    in
-    let actual = crc32_string_sub s body_start body_len in
-    if declared <> actual then
+           (Printf.sprintf "field %S: no codec registered for key %S" label
+              key_name))
+
+let put_tag a v = a_i64 a (Int64.of_int v)
+
+let get_tag cur =
+  need cur 8;
+  let v = Int64.to_int (String.get_int64_be cur.src cur.pos) in
+  cur.pos <- cur.pos + 8;
+  v
+
+(* The payload streams straight into the arena behind a backpatched
+   length. *)
+let put_field a codec label v =
+  let len_at = a_mark_u32 a in
+  let start = a.alen in
+  if not (codec.enc a v) then
+    unencodable
+      "field %S: value carries key name %S but was injected under a \
+       different key of that name"
+      label (Snet.Value.key_name v);
+  a_patch_u32 a len_at (a.alen - start)
+
+(* Decodes the payload in place, without slicing the message. *)
+let get_field cur codec label key_name =
+  let len = get_u32 cur in
+  need cur len;
+  let pos = cur.pos in
+  cur.pos <- pos + len;
+  match codec.dec cur.src ~pos ~len with
+  | v -> v
+  | exception e ->
       raise
         (Bad
-           (Printf.sprintf "CRC mismatch: frame says %08x, body hashes to %08x"
-              declared actual));
-    let cur = { src = s; pos = body_start; limit = body_start + body_len } in
-    let ntags = get_u16 cur in
-    let tags =
-      List.init ntags (fun _ ->
-          let label = get_str16 cur in
-          let v = Int64.to_int (get_i64 cur) in
-          (label, v))
-    in
-    let nfields = get_u16 cur in
-    let fields =
-      List.init nfields (fun _ ->
-          let label = get_str16 cur in
-          let key_name = get_str16 cur in
-          let plen = get_u32 cur in
-          need cur plen;
-          let ppos = cur.pos in
-          cur.pos <- cur.pos + plen;
-          match cached_lookup c key_name with
-          | None ->
-              raise
-                (Bad
-                   (Printf.sprintf "field %S: no codec registered for key %S"
-                      label key_name))
-          | Some codec -> (
-              match codec.dec s ~pos:ppos ~len:plen with
-              | v -> (label, v)
-              | exception e ->
-                  raise
-                    (Bad
-                       (Printf.sprintf "field %S (key %S): decode failed: %s"
-                          label key_name (Printexc.to_string e)))))
-    in
-    if cur.pos <> cur.limit then
-      raise (Bad (Printf.sprintf "%d trailing bytes in body" (cur.limit - cur.pos)));
-    Snet.Record.of_list ~fields ~tags
-  with
+           (Printf.sprintf "field %S (key %S): decode failed: %s" label
+              key_name (Printexc.to_string e)))
+
+let result f = match f () with
   | r -> Ok r
   | exception Bad m -> Error m
   | exception e -> Error (Printexc.to_string e)
 
+(* The magic at [pos], then the version byte [expected]; the caller
+   has checked that the five bytes are there. *)
+let check_header s pos ~what expected =
+  if
+    not
+      (s.[pos] = 'S' && s.[pos + 1] = 'N' && s.[pos + 2] = 'R'
+      && s.[pos + 3] = 'W')
+  then raise (Bad (Printf.sprintf "bad magic %S" (String.sub s pos 4)));
+  let v = Char.code s.[pos + 4] in
+  if v <> expected then
+    raise
+      (Bad
+         (Printf.sprintf "unsupported %sversion %d (expected %d)" what v
+            expected))
+
+(* ------------------------------------------------------------------ *)
+(* Frames                                                              *)
+
+let render ?ctx:ctx_opt r =
+  with_ctx ctx_opt (fun c ->
+      let a = c.carena in
+      arena_clear a;
+      a_string a magic;
+      a_u8 a version;
+      let body_len_at = a_mark_u32 a in
+      let body_start = a.alen in
+      let tags = Snet.Record.tags r and fields = Snet.Record.fields r in
+      a_u16 a (List.length tags);
+      List.iter
+        (fun (label, v) ->
+          a_str16 a label;
+          put_tag a v)
+        tags;
+      a_u16 a (List.length fields);
+      List.iter
+        (fun (label, v) ->
+          let key_name = Snet.Value.key_name v in
+          a_str16 a label;
+          a_str16 a key_name;
+          put_field a (codec_for_encode c label key_name) label v)
+        fields;
+      a_patch_u32 a body_len_at (a.alen - body_start);
+      a_u32 a (crc32_bytes_sub a.abuf body_start (a.alen - body_start));
+      Bytes.sub_string a.abuf 0 a.alen)
+
 let read ?ctx:ctx_opt s =
-  with_ctx ctx_opt (fun c -> read_sub c s ~pos:0 ~len:(String.length s))
+  with_ctx ctx_opt @@ fun c ->
+  result @@ fun () ->
+  let len = String.length s in
+  if len < 13 then raise (Bad "frame shorter than the 13-byte envelope");
+  check_header s 0 ~what:"" version;
+  let body_len = Int32.to_int (String.get_int32_be s 5) land 0xFFFFFFFF in
+  if len <> 13 + body_len then
+    raise
+      (Bad
+         (Printf.sprintf "frame length %d disagrees with header body length %d"
+            len body_len));
+  let declared =
+    Int32.to_int (String.get_int32_be s (9 + body_len)) land 0xFFFFFFFF
+  in
+  let actual = crc32_string_sub s 9 body_len in
+  if declared <> actual then
+    raise
+      (Bad
+         (Printf.sprintf "CRC mismatch: frame says %08x, body hashes to %08x"
+            declared actual));
+  let cur = { src = s; pos = 9; limit = 9 + body_len } in
+  let ntags = get_u16 cur in
+  let tags =
+    List.init ntags (fun _ ->
+        let label = get_str16 cur in
+        (label, get_tag cur))
+  in
+  let nfields = get_u16 cur in
+  let fields =
+    List.init nfields (fun _ ->
+        let label = get_str16 cur in
+        let key_name = get_str16 cur in
+        let codec = codec_for_decode c label key_name in
+        (label, get_field cur codec label key_name))
+  in
+  if cur.pos <> cur.limit then
+    raise
+      (Bad (Printf.sprintf "%d trailing bytes in body" (cur.limit - cur.pos)));
+  Snet.Record.of_list ~fields ~tags
 
 let validate s =
   match read s with
@@ -699,3 +751,258 @@ let validate s =
       let s' = render r in
       if String.equal s s' then Ok ()
       else Error "re-rendered frame differs from the original bytes"
+
+(* ------------------------------------------------------------------ *)
+(* Envelopes                                                           *)
+
+(* Envelopes share the frames' magic; their own version byte marks the
+   layout, so a canonical frame sent where an envelope is expected (a
+   peer built before envelopes) is refused by version, not by a CRC. *)
+let envelope_version = 2
+
+let rec tags_match labels i = function
+  | [] -> i = Array.length labels
+  | (l, _) :: rest ->
+      i < Array.length labels
+      && String.equal l (Array.unsafe_get labels i)
+      && tags_match labels (i + 1) rest
+
+let rec fields_match v i = function
+  | [] -> i = Array.length v.field_labels
+  | (l, x) :: rest ->
+      i < Array.length v.field_labels
+      && String.equal l (Array.unsafe_get v.field_labels i)
+      && String.equal (Snet.Value.key_name x) (Array.unsafe_get v.key_names i)
+      && fields_match v (i + 1) rest
+
+let is_variant v tags fields =
+  tags_match v.tag_labels 0 tags && fields_match v 0 fields
+
+let new_variant c tags fields =
+  let fields = Array.of_list fields in
+  let key_names = Array.map (fun (_, x) -> Snet.Value.key_name x) fields in
+  {
+    tag_labels = Array.of_list (List.map fst tags);
+    field_labels = Array.map fst fields;
+    key_names;
+    codecs =
+      Array.mapi (fun j (l, _) -> codec_for_encode c l key_names.(j)) fields;
+  }
+
+(* The index of the record's variant among the first [n] of [vs], or
+   -1. Tables are short (a net's types fix a handful of variants per
+   edge), so a scan beats hashing the labels. *)
+let rec find_variant vs n tags fields i =
+  if i = n then -1
+  else if is_variant vs.(i) tags fields then i
+  else find_variant vs n tags fields (i + 1)
+
+let grow a n v =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 4 (2 * n)) v in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+let rec put_tags a = function
+  | [] -> ()
+  | (_, v) :: rest ->
+      put_tag a v;
+      put_tags a rest
+
+let rec put_fields a codecs j = function
+  | [] -> ()
+  | (label, x) :: rest ->
+      put_field a codecs.(j) label x;
+      put_fields a codecs (j + 1) rest
+
+let envelope ?ctx:ctx_opt ~prefix rs =
+  with_ctx ctx_opt (fun c ->
+      let body = c.recs in
+      arena_clear body;
+      (* The table grows as the records name new variants. *)
+      let vs = ref [||] and nv = ref 0 and count = ref 0 in
+      List.iter
+        (fun r ->
+          let tags = Snet.Record.tags r and fields = Snet.Record.fields r in
+          let i =
+            match find_variant !vs !nv tags fields 0 with
+            | -1 ->
+                let v = new_variant c tags fields in
+                vs := grow !vs !nv v;
+                !vs.(!nv) <- v;
+                incr nv;
+                !nv - 1
+            | i -> i
+          in
+          a_varint body i;
+          put_tags body tags;
+          put_fields body !vs.(i).codecs 0 fields;
+          incr count)
+        rs;
+      let a = c.carena in
+      arena_clear a;
+      a_u8 a (Char.code prefix);
+      a_string a magic;
+      a_u8 a envelope_version;
+      let start = a.alen in
+      a_u32 a !count;
+      a_u32 a !nv;
+      for i = 0 to !nv - 1 do
+        let v = !vs.(i) in
+        a_u16 a (Array.length v.tag_labels);
+        Array.iter (a_str16 a) v.tag_labels;
+        a_u16 a (Array.length v.field_labels);
+        Array.iteri
+          (fun j l ->
+            a_str16 a l;
+            a_str16 a v.key_names.(j))
+          v.field_labels
+      done;
+      arena_reserve a body.alen;
+      Bytes.blit body.abuf 0 a.abuf a.alen body.alen;
+      a.alen <- a.alen + body.alen;
+      a_u32 a (crc32_bytes_sub a.abuf start (a.alen - start));
+      Bytes.sub_string a.abuf 0 a.alen)
+
+(* [n] items of at least [min_bytes] each must fit in what is left:
+   a count the bytes cannot hold is rejected before anything is
+   allocated for it. *)
+let check_count cur n ~min_bytes what =
+  if n > (cur.limit - cur.pos) / min_bytes then
+    raise
+      (Bad
+         (Printf.sprintf "%s count %d exceeds what the %d remaining bytes hold"
+            what n (cur.limit - cur.pos)))
+
+(* Labels must be strictly increasing: the decoder fills a template
+   whose maps sort their labels, so any other order (or a repeat)
+   would pair values with the wrong labels. *)
+let check_sorted what labels =
+  for i = 1 to Array.length labels - 1 do
+    if String.compare labels.(i - 1) labels.(i) >= 0 then
+      raise
+        (Bad
+           (Printf.sprintf "variant %s labels %S, %S not in canonical order"
+              what labels.(i - 1) labels.(i)))
+  done
+
+let read_variant c cur =
+  let ntags = get_u16 cur in
+  check_count cur ntags ~min_bytes:2 "tag label";
+  let tag_labels = Array.init ntags (fun _ -> get_str16 cur) in
+  check_sorted "tag" tag_labels;
+  let nfields = get_u16 cur in
+  check_count cur nfields ~min_bytes:4 "field label";
+  let pairs =
+    Array.init nfields (fun _ ->
+        let l = get_str16 cur in
+        (l, get_str16 cur))
+  in
+  let field_labels = Array.map fst pairs and key_names = Array.map snd pairs in
+  check_sorted "field" field_labels;
+  let v =
+    {
+      tag_labels;
+      field_labels;
+      key_names;
+      codecs = Array.map (fun (l, k) -> codec_for_decode c l k) pairs;
+    }
+  in
+  (* The template carries the variant's labels; each record refills it
+     with its own values. *)
+  let with_value x l = (l, x) in
+  let template =
+    Snet.Record.of_list
+      ~fields:
+        (List.map (with_value (Snet.Value.of_int 0)) (Array.to_list field_labels))
+      ~tags:(List.map (with_value 0) (Array.to_list tag_labels))
+  in
+  (v, template)
+
+let rec same_bytes cur t i =
+  i = String.length t
+  || String.unsafe_get cur.src (cur.pos + i) = String.unsafe_get t i
+     && same_bytes cur t (i + 1)
+
+(* Consecutive envelopes of an edge usually carry the same table:
+   bytes equal to the last table read parse to the same variants, so
+   the parsed table is reused. *)
+let read_table c cur nv =
+  let gen = Atomic.get registry_gen in
+  let known = c.last_table in
+  if
+    Array.length c.last_parsed = nv
+    && c.last_gen = gen
+    && cur.pos + String.length known <= cur.limit
+    && same_bytes cur known 0
+  then begin
+    cur.pos <- cur.pos + String.length known;
+    c.last_parsed
+  end
+  else begin
+    check_count cur nv ~min_bytes:4 "variant";
+    let start = cur.pos in
+    let table = Array.init nv (fun _ -> read_variant c cur) in
+    c.last_table <- String.sub cur.src start (cur.pos - start);
+    c.last_parsed <- table;
+    c.last_gen <- gen;
+    table
+  end
+
+let read_envelope ?ctx:ctx_opt s ~pos =
+  with_ctx ctx_opt @@ fun c ->
+  result @@ fun () ->
+  let crc_at = String.length s - 4 in
+  if pos < 0 || String.length s - pos < 5 then
+    raise (Bad "envelope shorter than its magic and version");
+  check_header s pos ~what:"envelope " envelope_version;
+  let start = pos + 5 in
+  if crc_at - start < 8 then
+    raise (Bad "envelope shorter than its two counts and CRC");
+  let declared = Int32.to_int (String.get_int32_be s crc_at) land 0xFFFFFFFF in
+  let actual = crc32_string_sub s start (crc_at - start) in
+  if declared <> actual then
+    raise
+      (Bad
+         (Printf.sprintf
+            "CRC mismatch: envelope says %08x, contents hash to %08x" declared
+            actual));
+  let cur = { src = s; pos = start; limit = crc_at } in
+  let n = get_u32 cur in
+  let nv = get_u32 cur in
+  let table = read_table c cur nv in
+  check_count cur n ~min_bytes:1 "record";
+  (* One pair of closures per envelope: [vi] and [fi] say which
+     variant and which of its fields the record being refilled is at. *)
+  let vi = ref 0 and fi = ref 0 in
+  let tag _ _ = get_tag cur in
+  let field label _ =
+    let v, _ = table.(!vi) in
+    let j = !fi in
+    fi := j + 1;
+    get_field cur v.codecs.(j) label v.key_names.(j)
+  in
+  let rec records k acc =
+    if k = n then List.rev acc
+    else begin
+      let i = get_varint cur in
+      if i >= nv then
+        raise
+          (Bad
+             (Printf.sprintf "record %d/%d: variant index %d out of range (%d \
+                              in table)"
+                (k + 1) n i nv));
+      vi := i;
+      fi := 0;
+      let r = Snet.Record.map_values ~tag ~field (snd table.(i)) in
+      records (k + 1) (r :: acc)
+    end
+  in
+  let rs = records 0 [] in
+  if cur.pos <> cur.limit then
+    raise
+      (Bad
+         (Printf.sprintf "%d trailing bytes in envelope" (cur.limit - cur.pos)));
+  rs

@@ -282,8 +282,8 @@ let test_proto_roundtrip () =
 
 (* A Data_batch envelope must carry exactly the records that N
    individual Data frames would: same multiset after decode, and any
-   truncation or byte flip of the envelope is rejected (the per-frame
-   CRC plus envelope length checks leave no silently-corruptible
+   truncation or byte flip of the envelope is rejected (the envelope's
+   CRC plus its count and length checks leave no silently-corruptible
    region). *)
 let prop_batch_envelope =
   QCheck.Test.make ~name:"proto: Data_batch = N x Data (and corruption rejected)"
@@ -335,6 +335,216 @@ let prop_batch_envelope =
         | Ok _ -> false
       in
       same && truncated_rejected && mutated_rejected)
+
+(* Envelopes of several variants at once: tag-only records, error
+   records (string fields) and fig2 board+options records, interleaved.
+   Order and every value survive, a ctx changes neither the bytes nor
+   the result, and a three-tag record costs at most 31 bytes in a
+   32-record envelope, under half its canonical frame. *)
+let test_envelope_mixed () =
+  let tag_only i =
+    Record.of_list ~fields:[]
+      ~tags:[ ("bid", i); ("dist_seq", i + 7); ("x", -i) ]
+  in
+  let board = Sudoku.Puzzles.easy in
+  let opts = Sudoku.Rules.init_options board in
+  let puzzle =
+    Record.of_list
+      ~fields:
+        [
+          ("board", Value.inject Sudoku.Boxes.board_field board);
+          ("opts", Value.inject Sudoku.Boxes.opts_field opts);
+        ]
+      ~tags:[ ("k", 4) ]
+  in
+  let err i =
+    Snet.Supervise.error_record ~box:"qc" ~input:(tag_only i)
+      (Failure "bad \x00 input")
+  in
+  let rs =
+    List.concat_map
+      (fun i -> [ tag_only i; puzzle; err i; Record.empty ])
+      [ 1; 2; 3 ]
+  in
+  let ctx = Wire.ctx () in
+  let enc = Proto.encode ~ctx (Proto.Data_batch rs) in
+  Alcotest.(check string) "a ctx does not change the bytes" enc
+    (Proto.encode (Proto.Data_batch rs));
+  let decoded ?ctx s =
+    match Proto.decode ?ctx s with
+    | Ok (Proto.Data_batch rs') -> rs'
+    | Ok (Proto.Data r) -> [ r ]
+    | Ok m -> Alcotest.failf "unexpected decode: %s" (Proto.to_string m)
+    | Error e -> Alcotest.failf "decode failed: %s" e
+  in
+  let same what a b =
+    Alcotest.(check bool) what true
+      (List.length a = List.length b && List.for_all2 frame_eq a b)
+  in
+  same "mixed round trip, in order" rs (decoded enc);
+  same "with and without a ctx" (decoded ~ctx enc) (decoded enc);
+  (* A ctx that has just read the mixed table reads a singleton's. *)
+  same "ctx reused on a singleton" [ puzzle ]
+    (decoded ~ctx (Proto.encode ~ctx (Proto.Data puzzle)));
+  (* A decoding ctx reuses the last table it parsed when the next
+     table's bytes are equal: a table of the same size and shape but
+     one different label must not be taken for it. *)
+  let twin i =
+    Record.of_list ~fields:[]
+      ~tags:[ ("bie", i); ("dist_seq", i + 7); ("x", -i) ]
+  in
+  List.iter
+    (fun r ->
+      same "same-shaped tables, one ctx" [ r; r ]
+        (decoded ~ctx (Proto.encode ~ctx (Proto.Data_batch [ r; r ]))))
+    [ tag_only 1; twin 1; tag_only 2; twin 2 ];
+  let b32 = Proto.encode (Proto.Data_batch (List.init 32 tag_only)) in
+  let per_record = float_of_int (String.length b32) /. 32. in
+  if per_record > 31. then
+    Alcotest.failf "tag-only record costs %.1f bytes in a 32-record envelope"
+      per_record;
+  let frame = String.length (Wire.render (tag_only 1)) in
+  if 2. *. per_record >= float_of_int frame then
+    Alcotest.failf "%.1f bytes per record is not under half the %d-byte frame"
+      per_record frame;
+  let rogue : unit Value.Key.key = Value.Key.create "test.unregistered" in
+  let unencodable =
+    Record.of_list ~fields:[ ("f", Value.inject rogue ()) ] ~tags:[]
+  in
+  Alcotest.(check bool) "unregistered key raises Unencodable" true
+    (try
+       ignore
+         (Proto.encode ~ctx (Proto.Data_batch [ tag_only 1; unencodable ]));
+       false
+     with Wire.Unencodable _ -> true);
+  same "ctx still sound after an encode failed" rs
+    (decoded ~ctx (Proto.encode ~ctx (Proto.Data_batch rs)))
+
+(* Hand-built Data_batch envelopes: [batch_of body] adds the kind byte,
+   magic and version and computes the CRC over [body], so only the
+   structural checks can reject. *)
+let be n width =
+  let b = Bytes.create width in
+  (match width with
+  | 2 -> Bytes.set_uint16_be b 0 n
+  | 4 -> Bytes.set_int32_be b 0 (Int32.of_int n)
+  | _ -> Bytes.set_int64_be b 0 (Int64.of_int n));
+  Bytes.to_string b
+
+let be16 n = be n 2
+let be32 n = be n 4
+let be64 n = be n 8
+let str16 s = be16 (String.length s) ^ s
+
+let batch_of body =
+  "\x09" ^ Wire.magic ^ "\x02" ^ body ^ be32 (Int32.to_int (Wire.crc32 body) land 0xFFFFFFFF)
+
+(* A table entry of tag labels only. *)
+let tags_variant labels =
+  be16 (List.length labels) ^ String.concat "" (List.map str16 labels) ^ be16 0
+
+let test_envelope_rejects () =
+  let rejected what s =
+    match Proto.decode s with
+    | Error _ -> ()
+    | Ok m -> Alcotest.failf "%s accepted: %s" what (Proto.to_string m)
+  in
+  let accepted what s =
+    match Proto.decode s with
+    | Ok (Proto.Data_batch rs) -> rs
+    | Ok m -> Alcotest.failf "%s: unexpected %s" what (Proto.to_string m)
+    | Error e -> Alcotest.failf "%s rejected: %s" what e
+  in
+  let index i = String.make 1 (Char.chr i) in
+  (* Two variants, {<a>} and {<a>,<b>}; one record of each. *)
+  let table = be32 2 ^ tags_variant [ "a" ] ^ tags_variant [ "a"; "b" ] in
+  let body ~i0 ~i1 =
+    be32 2 ^ table ^ index i0 ^ be64 5 ^ index i1 ^ be64 6 ^ be64 7
+  in
+  let tags = Alcotest.(list (pair string int)) in
+  (match accepted "hand-built envelope" (batch_of (body ~i0:0 ~i1:1)) with
+  | [ r1; r2 ] ->
+      Alcotest.check tags "first" [ ("a", 5) ] (Record.tags r1);
+      Alcotest.check tags "second" [ ("a", 6); ("b", 7) ] (Record.tags r2)
+  | rs -> Alcotest.failf "%d records" (List.length rs));
+  (* A forged index under the old CRC fails the CRC; under a fixed-up
+     CRC it is caught when it points outside the table, or when the
+     variant it names does not fit the bytes that follow. *)
+  let good = batch_of (body ~i0:0 ~i1:1) in
+  let forged = Bytes.of_string good in
+  Bytes.set forged (String.length good - 4 - 26) '\x01';
+  rejected "forged index, stale CRC" (Bytes.to_string forged);
+  rejected "index past the table" (batch_of (body ~i0:0 ~i1:2));
+  rejected "index far past the table (two-byte varint)"
+    (batch_of (be32 1 ^ be32 1 ^ tags_variant [ "a" ] ^ "\x80\x01" ^ be64 5));
+  rejected "forged index, shapes disagree" (batch_of (body ~i0:1 ~i1:0));
+  rejected "record but no table" (batch_of (be32 1 ^ be32 0 ^ index 0));
+  (* Labels out of canonical order would pair values with the wrong
+     labels: b=1, a=2 as sent would decode as a=1, b=2. *)
+  let one_record variant values =
+    batch_of
+      (be32 1 ^ be32 1 ^ variant ^ index 0
+      ^ String.concat "" (List.map be64 values))
+  in
+  let sorted = one_record (tags_variant [ "a"; "b" ]) [ 1; 2 ] in
+  ignore (accepted "sorted tags" sorted);
+  rejected "unsorted tag labels"
+    (one_record (tags_variant [ "b"; "a" ]) [ 1; 2 ]);
+  rejected "duplicate tag labels"
+    (one_record (tags_variant [ "a"; "a" ]) [ 1; 2 ]);
+  let two_fields pairs =
+    let variant =
+      be16 0 ^ be16 (List.length pairs)
+      ^ String.concat "" (List.map (fun (l, k) -> str16 l ^ str16 k) pairs)
+    in
+    let int_payload n = be32 8 ^ be64 n in
+    batch_of
+      (be32 1 ^ be32 1 ^ variant ^ index 0 ^ int_payload 1 ^ int_payload 2)
+  in
+  ignore (accepted "sorted fields" (two_fields [ ("m", "int"); ("n", "int") ]));
+  rejected "unsorted field labels" (two_fields [ ("n", "int"); ("m", "int") ]);
+  rejected "duplicate field labels" (two_fields [ ("n", "int"); ("n", "int") ]);
+  rejected "unknown codec" (two_fields [ ("m", "int"); ("n", "test.nowhere") ]);
+  (* Counts the bytes cannot hold are refused by the count check,
+     before anything is allocated for them: claiming 2^31 records (or
+     variants, or 65535 labels) in a tiny envelope allocates nowhere
+     near 2^31 words. The bound is loose because other threads of the
+     process allocate too. *)
+  let a_record = index 0 ^ be64 5 in
+  List.iter
+    (fun (what, body) ->
+      let before = Gc.allocated_bytes () in
+      (match Proto.decode (batch_of body) with
+      | Error e when contains e "count" -> ()
+      | Error e -> Alcotest.failf "%s: rejected by another check: %s" what e
+      | Ok _ -> Alcotest.failf "%s accepted" what);
+      let bytes = Gc.allocated_bytes () -. before in
+      if bytes > 64e6 then Alcotest.failf "%s: allocated %.0f bytes" what bytes)
+    [
+      ("record count", be32 0x7FFFFFFF ^ be32 1 ^ tags_variant [ "a" ] ^ a_record);
+      ("variant count", be32 1 ^ be32 0x7FFFFFFF ^ tags_variant [ "a" ] ^ a_record);
+      ("label count", be32 1 ^ be32 1 ^ be16 0xFFFF ^ str16 "a" ^ be16 0 ^ index 0);
+    ];
+  rejected "one record short"
+    (batch_of (be32 3 ^ table ^ a_record ^ index 0 ^ be64 6));
+  rejected "trailing bytes" (batch_of (body ~i0:0 ~i1:1 ^ "\x00"));
+  rejected "shorter than the counts" (batch_of "\x00\x00\x00");
+  rejected "Data holding two records"
+    ("\x03" ^ String.sub good 1 (String.length good - 1));
+  (* Before envelopes, a Data payload was one canonical frame and a
+     Data_batch payload a count of length-prefixed frames. Such a peer
+     is refused by the version byte, with a reason that says so. *)
+  let r = Record.of_list ~fields:[] ~tags:[ ("bid", 1) ] in
+  let frame = Wire.render r in
+  let old_peer what s =
+    match Proto.decode s with
+    | Error e when contains e "unsupported envelope version 1" -> ()
+    | Error e -> Alcotest.failf "%s: rejected for another reason: %s" what e
+    | Ok m -> Alcotest.failf "%s accepted: %s" what (Proto.to_string m)
+  in
+  old_peer "pre-envelope Data" ("\x03" ^ frame);
+  rejected "pre-envelope Data_batch"
+    ("\x09" ^ be32 1 ^ be32 (String.length frame) ^ frame)
 
 (* ------------------------------------------------------------------ *)
 (* Partitioning                                                        *)
@@ -1440,6 +1650,10 @@ let suite =
     Seeded.to_alcotest prop_corruption;
     Seeded.to_alcotest prop_batch_envelope;
     Alcotest.test_case "proto round-trip" `Quick test_proto_roundtrip;
+    Alcotest.test_case "envelope: mixed variants round trip" `Quick
+      test_envelope_mixed;
+    Alcotest.test_case "envelope: malformed tables and counts" `Quick
+      test_envelope_rejects;
     Alcotest.test_case "partition" `Quick test_partition;
     Alcotest.test_case "loopback transport" `Quick test_loopback;
     Alcotest.test_case "tcp transport (smoke)" `Quick test_tcp;

@@ -107,6 +107,15 @@ let prop_union_upper_bound =
       let u = Variant.union x y in
       Variant.subtype u x && Variant.subtype u y)
 
+(* [accepts] probes the record label by label instead of building its
+   variant; it must agree with the definition it replaces. *)
+let prop_accepts_is_subtype =
+  QCheck.Test.make ~name:"accepts v r = subtype (of_record r) v" ~count:300
+    (QCheck.make QCheck.Gen.(pair variant_gen variant_gen))
+    (fun (x, y) ->
+      let r = record ~f:(Variant.fields y) ~t:(Variant.tags y) in
+      Variant.accepts x r = Variant.subtype (Variant.of_record r) x)
+
 let suite =
   [
     Alcotest.test_case "variant basics" `Quick test_variant_basics;
@@ -120,4 +129,5 @@ let suite =
     Seeded.to_alcotest prop_subtype_reflexive;
     Seeded.to_alcotest prop_subtype_transitive;
     Seeded.to_alcotest prop_union_upper_bound;
+    Seeded.to_alcotest prop_accepts_is_subtype;
   ]
