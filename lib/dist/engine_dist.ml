@@ -1279,6 +1279,16 @@ let run ?pool ?workers ?credits ?batch ?stats ?supervision ?kill_worker
 (* ------------------------------------------------------------------ *)
 (* Spawned runner: real worker processes over TCP                      *)
 
+(* [spawn_execd exe argv]: start [exe] like
+   [Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr],
+   but return only once the child has exec'd.
+   Until then /proc reports the coordinator's memory for the new pid,
+   so a thread of this process reading the workers' resident sets
+   right after a spawn would misread; the wait holds the runtime lock,
+   so none can. See spawn_stubs.c. *)
+external spawn_execd : string -> string array -> int
+  = "snet_dist_spawn_execd"
+
 let run_spawned ~worker_exe ~spec ?(host = "127.0.0.1") ?workers ?credits
     ?batch ?stats ?supervision ?kill_worker ?crash_flush ?tap ?collector ?plan
     ?on_handle ?(worker_args = []) net inputs =
@@ -1292,9 +1302,7 @@ let run_spawned ~worker_exe ~spec ?(host = "127.0.0.1") ?workers ?credits
         (worker_exe :: "--connect" :: Printf.sprintf "%s:%d" host port
        :: worker_args)
     in
-    let pid =
-      Unix.create_process worker_exe argv Unix.stdin Unix.stdout Unix.stderr
-    in
+    let pid = spawn_execd worker_exe argv in
     Mutex.protect pids_mu (fun () -> pids := pid :: !pids);
     Transport.erase
       (module Transport.Tcp)
