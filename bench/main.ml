@@ -1300,6 +1300,46 @@ let exp_dist () =
   let tag_frame_bytes = String.length (Dist.Wire.render (tag_only 0)) in
   let env_tag_only = envelope_bytes (List.init 32 tag_only) in
   let env_fig2 = envelope_bytes (List.init 32 (fun _ -> r)) in
+  (* What dist-stream does to each record outside the codec: build an
+     input, add the coordinator's sequence tag, and run Networks.shard's
+     route box on a worker. Minor words per call beside the time. *)
+  let route =
+    Snet.Box.make ~name:"route" ~input:[ Snet.Box.T "x" ]
+      ~outputs:[ [ Snet.Box.T "x"; Snet.Box.T "t" ] ] (fun ~emit -> function
+      | [ Snet.Box.Tag x ] ->
+          emit 1 [ Snet.Box.Tag x; Snet.Box.Tag (((x mod 8) + 8) mod 8) ]
+      | _ -> assert false)
+  in
+  let input = Snet.Record.of_list ~fields:[] ~tags:[ ("x", 7); ("bid", 1) ] in
+  let sequenced = Snet.Record.with_tag "dist_seq" 1 input in
+  let record_ops =
+    [
+      ( "record/of_list",
+        fun () -> Snet.Record.of_list ~fields:[] ~tags:[ ("x", 7); ("bid", 1) ] );
+      ("record/with_tag", fun () -> Snet.Record.with_tag "dist_seq" 1 input);
+      ( "box/execute-route",
+        fun () ->
+          match Snet.Box.execute route sequenced with
+          | [ r ] -> r
+          | _ -> assert false );
+    ]
+  in
+  collect "record operations on dist-stream's path"
+    (List.map
+       (fun (name, f) -> Test.make ~name (Staged.stage f))
+       record_ops);
+  let words_per_call f =
+    let n = 10_000 in
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let record_words =
+    List.map (fun (name, f) -> (name, words_per_call f)) record_ops
+  in
   collect "wire codec on a mid-pipeline sudoku record"
     [
       Test.make ~name:"wire/encode"
@@ -1480,7 +1520,8 @@ let exp_dist () =
      per record (bar: <= %s at best)\n\
     \  fig2 speedup dist-loopback-2w / seq: %.2fx\n\
     \  envelope bytes per record (b32): board+opts %.1f (frame %d) | \
-     three tags %.1f (frame %d)\n"
+     three tags %.1f (frame %d)\n\
+    \  minor words per call: %s\n"
     frame_bytes (pretty_ns encode_ns) (mbps encode_ns) (pretty_ns decode_ns)
     (mbps decode_ns) (pretty_ns chan_ns) (pretty_ns lo_ns) (pretty_ns tcp_ns)
     (pretty_ns (lob 1)) (pretty_ns (lob 8)) (pretty_ns (lob 64))
@@ -1488,7 +1529,9 @@ let exp_dist () =
     (pretty_ns overhead_ns) (pretty_ns bar_ns) (pretty_ns lo_amort8)
     (pretty_ns lo_amort64) (pretty_ns tcp_amort8) (pretty_ns tcp_amort64)
     (pretty_ns batched_bar_ns) speedup env_fig2 frame_bytes env_tag_only
-    tag_frame_bytes;
+    tag_frame_bytes
+    (String.concat " | "
+       (List.map (fun (n, w) -> Printf.sprintf "%s %.1f" n w) record_words));
   if (not (Float.is_nan speedup)) && speedup < 1.0 then
     Printf.printf
       "  WARNING: distributed fig2 is %.2fx the sequential engine (< 1.0): \
@@ -1547,6 +1590,17 @@ let exp_dist () =
          ("batched_amortized_best_ns_per_record", jnum batched_amort_ns);
          ("batched_amortized_bar_ns", jnum batched_bar_ns);
          ("fig2_speedup_dist_over_seq", jnum speedup);
+         ( "record_ops",
+           Obsv.Jsonx.Obj
+             (List.map
+                (fun (name, words) ->
+                  ( name,
+                    Obsv.Jsonx.Obj
+                      [
+                        ("ns", jnum (find ("/" ^ name)));
+                        ("minor_words", jnum words);
+                      ] ))
+                record_words) );
          ("results", jrows rows);
        ])
     rows;

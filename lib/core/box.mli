@@ -61,9 +61,19 @@ val execute : t -> Record.t -> Record.t list
 (** Run the box on one record: project the declared input labels (in
     order), apply the implementation, collect its emissions, apply flow
     inheritance.
+
+    The box keeps a plan per input {!Record.Shape.t} — the slot of each
+    argument and, per output variant, the output shape after flow
+    inheritance and the slots of its values — so a call on a known
+    shape fills value arrays instead of merging labels. It keeps at
+    most {!max_plans}; other shapes, and private ones, take the
+    unplanned path, which gives the same results and errors.
     @raise Invalid_argument if the record lacks a declared label (a
     routing bug), if [emit] names an unknown variant, or if an
     emission's arguments do not match the variant's arity and kinds. *)
+
+val max_plans : int
+(** 8 input shapes per box. *)
 
 val to_string : t -> string
 (** The declaration form, e.g.

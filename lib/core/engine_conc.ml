@@ -52,8 +52,9 @@ type instance = {
   mutable stalls_seen : int;
   mutable entry : amsg Streams.Actors.t option;
   net : Net.t;
-  (* Input variants already admission-checked via Typecheck.flow. *)
-  checked : (string list * string list, unit) Hashtbl.t;
+  (* One byte per interned shape id, set once the shape passed
+     admission via Typecheck.flow. *)
+  checked : Bytes.t;
   (* Prior run state replayed into components as they build; lazily
      built star stages / split replicas consult it too (build runs
      inside actor handlers then), so restored unfolding re-creates the
@@ -385,7 +386,7 @@ let start ?pool ?exec ?batch ?mailbox ?observer ?on_output ?stats ?supervision
       stalls_seen = 0;
       entry = None;
       net;
-      checked = Hashtbl.create 8;
+      checked = Bytes.make Record.Shape.cap '\000';
       restore;
       cap_syncs = [];
       cap_splits = [];
@@ -424,16 +425,17 @@ let start ?pool ?exec ?batch ?mailbox ?observer ?on_output ?stats ?supervision
   eng
 
 let feed eng r =
-  (* Admission check, once per distinct input variant. A variant is
-     marked checked only after [Typecheck.flow] accepts it, so a
-     rejected variant stays rejected on every later feed. *)
-  let key = (Record.field_labels r, Record.tag_labels r) in
+  (* Admission check, once per interned input shape (every feed for a
+     private one, which has no id to remember). A shape is marked
+     checked only after [Typecheck.flow] accepts it, so a rejected
+     variant stays rejected on every later feed. *)
+  let id = Record.Shape.id (Record.shape r) in
   Mutex.lock eng.imutex;
-  if not (Hashtbl.mem eng.checked key) then begin
+  if id < 0 || Bytes.get eng.checked id = '\000' then begin
     Mutex.unlock eng.imutex;
     ignore (Typecheck.flow [ Rectype.Variant.of_record r ] eng.net);
     Mutex.lock eng.imutex;
-    Hashtbl.replace eng.checked key ()
+    if id >= 0 then Bytes.set eng.checked id '\001'
   end;
   let i = eng.next_input in
   eng.next_input <- i + 1;

@@ -34,9 +34,15 @@ val specs : t -> spec list
 
 val apply : t -> Record.t -> Record.t list
 (** Outputs for one input, flow inheritance included, in specifier
-    order.
+    order. Like {!Box.execute}, a filter plans each output once per
+    input shape, for at most {!max_plans} shapes; other shapes, and
+    private ones, take the unplanned path, with the same results and
+    errors.
     @raise Invalid_argument if the record does not match the filter's
     pattern (the surrounding network must route correctly). *)
+
+val max_plans : int
+(** 8 input shapes per filter. *)
 
 val signature : t -> Rectype.signature
 (** Input: the pattern's variant. Output: one variant per specifier

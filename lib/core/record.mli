@@ -9,6 +9,70 @@ type t
 
 val empty : t
 
+(** {1 Shapes}
+
+    A record is stored as its {e shape} — its sorted field labels and
+    sorted tag labels — plus one array of values per kind, in label
+    order. Shapes are interned: every record with one label set shares
+    one shape, so a component can key per-variant work on it (box
+    plans, engine admission, wire variant tables).
+
+    The intern table is process-wide, shared by all domains, and holds
+    at most {!Shape.cap} shapes; it never shrinks. Label sets also
+    arrive from untrusted peers (gateway JSON, wire envelopes), so the
+    table stops at its cap: a label set first seen once it is full, or
+    one whose labels total more than 1 KiB, gets a private shape with
+    id [-1], built without taking the intern lock. Such records behave
+    exactly like any other; only the per-shape caches skip them. *)
+
+module Shape : sig
+  type t
+
+  val cap : int
+  (** 4096 interned shapes. *)
+
+  val count : unit -> int
+  (** Shapes interned so far (at most {!cap}). *)
+
+  val id : t -> int
+  (** Dense from 0 in interning order and stable for the process;
+      [-1] for a private shape. *)
+
+  val equal : t -> t -> bool
+  (** Same labels. Physical equality for interned shapes. *)
+
+  val make : fields:string list -> tags:string list -> t
+  (** The shape of a label set given in any order; repeats are
+      ignored. *)
+
+  val nfields : t -> int
+  val ntags : t -> int
+
+  val field_label : t -> int -> string
+  (** The [i]-th field label in sorted order. *)
+
+  val tag_label : t -> int -> string
+
+  val field_index : string -> t -> int
+  (** The label's position among the shape's field labels, or [-1]. *)
+
+  val tag_index : string -> t -> int
+end
+
+val shape : t -> Shape.t
+
+val field_at : t -> int -> Value.t
+(** The value of the [i]-th field of the record's shape. *)
+
+val tag_at : t -> int -> int
+
+val of_shape : Shape.t -> fields:Value.t array -> tags:int array -> t
+(** The record of the given shape with these values, in the shape's
+    label order. The record takes the arrays over: the caller must not
+    change them afterwards.
+    @raise Invalid_argument if an array's length differs from the
+    shape's count of that kind. *)
+
 (** {1 Building} *)
 
 val with_field : string -> Value.t -> t -> t
@@ -52,8 +116,7 @@ val map_values :
   tag:(string -> int -> int) -> field:(string -> Value.t -> Value.t) -> t -> t
 (** The record with the same labels and every value replaced: [tag] is
     called on each tag, then [field] on each field, each in label
-    order. Decoders use it to fill a template of a known label set
-    without re-sorting the labels. *)
+    order. *)
 
 (** {1 Flow inheritance}
 

@@ -280,12 +280,11 @@ let registered name = lookup name <> None
 (* ------------------------------------------------------------------ *)
 (* Contexts: per-edge scratch arena and codec cache                    *)
 
-(* One entry of an envelope's variant table: a label set, each field
-   with the name of its codec, in canonical (sorted) order, plus the
-   codecs resolved for it. *)
+(* One entry of an envelope's variant table: a record shape (its label
+   set, in canonical sorted order), the name of each field's codec,
+   and the codecs resolved for it. *)
 type variant = {
-  tag_labels : string array;
-  field_labels : string array;
+  shape : Snet.Record.Shape.t;
   key_names : string array;
   codecs : codec array;
 }
@@ -297,7 +296,7 @@ type ctx = {
   (* Decoder: the last table read, as bytes and parsed, and the
      registry generation its codecs were resolved in. *)
   mutable last_table : string;
-  mutable last_parsed : (variant * Snet.Record.t) array;
+  mutable last_parsed : variant array;
   mutable last_gen : int;
   cache : (string, codec) Hashtbl.t;
   mutable cache_gen : int;
@@ -684,21 +683,23 @@ let render ?ctx:ctx_opt r =
       a_u8 a version;
       let body_len_at = a_mark_u32 a in
       let body_start = a.alen in
-      let tags = Snet.Record.tags r and fields = Snet.Record.fields r in
-      a_u16 a (List.length tags);
-      List.iter
-        (fun (label, v) ->
-          a_str16 a label;
-          put_tag a v)
-        tags;
-      a_u16 a (List.length fields);
-      List.iter
-        (fun (label, v) ->
-          let key_name = Snet.Value.key_name v in
-          a_str16 a label;
-          a_str16 a key_name;
-          put_field a (codec_for_encode c label key_name) label v)
-        fields;
+      let shape = Snet.Record.shape r in
+      let ntags = Snet.Record.Shape.ntags shape in
+      a_u16 a ntags;
+      for i = 0 to ntags - 1 do
+        a_str16 a (Snet.Record.Shape.tag_label shape i);
+        put_tag a (Snet.Record.tag_at r i)
+      done;
+      let nfields = Snet.Record.Shape.nfields shape in
+      a_u16 a nfields;
+      for j = 0 to nfields - 1 do
+        let label = Snet.Record.Shape.field_label shape j in
+        let v = Snet.Record.field_at r j in
+        let key_name = Snet.Value.key_name v in
+        a_str16 a label;
+        a_str16 a key_name;
+        put_field a (codec_for_encode c label key_name) label v
+      done;
       a_patch_u32 a body_len_at (a.alen - body_start);
       a_u32 a (crc32_bytes_sub a.abuf body_start (a.alen - body_start));
       Bytes.sub_string a.abuf 0 a.alen)
@@ -760,42 +761,37 @@ let validate s =
    peer built before envelopes) is refused by version, not by a CRC. *)
 let envelope_version = 2
 
-let rec tags_match labels i = function
-  | [] -> i = Array.length labels
-  | (l, _) :: rest ->
-      i < Array.length labels
-      && String.equal l (Array.unsafe_get labels i)
-      && tags_match labels (i + 1) rest
+let rec keys_match v r j =
+  j = Array.length v.key_names
+  || String.equal
+       (Snet.Value.key_name (Snet.Record.field_at r j))
+       (Array.unsafe_get v.key_names j)
+     && keys_match v r (j + 1)
 
-let rec fields_match v i = function
-  | [] -> i = Array.length v.field_labels
-  | (l, x) :: rest ->
-      i < Array.length v.field_labels
-      && String.equal l (Array.unsafe_get v.field_labels i)
-      && String.equal (Snet.Value.key_name x) (Array.unsafe_get v.key_names i)
-      && fields_match v (i + 1) rest
+let is_variant v shape r =
+  Snet.Record.Shape.equal v.shape shape && keys_match v r 0
 
-let is_variant v tags fields =
-  tags_match v.tag_labels 0 tags && fields_match v 0 fields
-
-let new_variant c tags fields =
-  let fields = Array.of_list fields in
-  let key_names = Array.map (fun (_, x) -> Snet.Value.key_name x) fields in
+let new_variant c shape r =
+  let nfields = Snet.Record.Shape.nfields shape in
+  let key_names =
+    Array.init nfields (fun j -> Snet.Value.key_name (Snet.Record.field_at r j))
+  in
   {
-    tag_labels = Array.of_list (List.map fst tags);
-    field_labels = Array.map fst fields;
+    shape;
     key_names;
     codecs =
-      Array.mapi (fun j (l, _) -> codec_for_encode c l key_names.(j)) fields;
+      Array.init nfields (fun j ->
+          codec_for_encode c (Snet.Record.Shape.field_label shape j) key_names.(j));
   }
 
 (* The index of the record's variant among the first [n] of [vs], or
    -1. Tables are short (a net's types fix a handful of variants per
-   edge), so a scan beats hashing the labels. *)
-let rec find_variant vs n tags fields i =
+   edge), so a scan beats hashing; interned shapes compare by
+   identity. *)
+let rec find_variant vs n shape r i =
   if i = n then -1
-  else if is_variant vs.(i) tags fields then i
-  else find_variant vs n tags fields (i + 1)
+  else if is_variant vs.(i) shape r then i
+  else find_variant vs n shape r (i + 1)
 
 let grow a n v =
   if n < Array.length a then a
@@ -805,17 +801,15 @@ let grow a n v =
     b
   end
 
-let rec put_tags a = function
-  | [] -> ()
-  | (_, v) :: rest ->
-      put_tag a v;
-      put_tags a rest
-
-let rec put_fields a codecs j = function
-  | [] -> ()
-  | (label, x) :: rest ->
-      put_field a codecs.(j) label x;
-      put_fields a codecs (j + 1) rest
+let put_values a v r =
+  for i = 0 to Snet.Record.Shape.ntags v.shape - 1 do
+    put_tag a (Snet.Record.tag_at r i)
+  done;
+  for j = 0 to Array.length v.codecs - 1 do
+    put_field a v.codecs.(j)
+      (Snet.Record.Shape.field_label v.shape j)
+      (Snet.Record.field_at r j)
+  done
 
 let envelope ?ctx:ctx_opt ~prefix rs =
   with_ctx ctx_opt (fun c ->
@@ -825,11 +819,11 @@ let envelope ?ctx:ctx_opt ~prefix rs =
       let vs = ref [||] and nv = ref 0 and count = ref 0 in
       List.iter
         (fun r ->
-          let tags = Snet.Record.tags r and fields = Snet.Record.fields r in
+          let shape = Snet.Record.shape r in
           let i =
-            match find_variant !vs !nv tags fields 0 with
+            match find_variant !vs !nv shape r 0 with
             | -1 ->
-                let v = new_variant c tags fields in
+                let v = new_variant c shape r in
                 vs := grow !vs !nv v;
                 !vs.(!nv) <- v;
                 incr nv;
@@ -837,8 +831,7 @@ let envelope ?ctx:ctx_opt ~prefix rs =
             | i -> i
           in
           a_varint body i;
-          put_tags body tags;
-          put_fields body !vs.(i).codecs 0 fields;
+          put_values body !vs.(i) r;
           incr count)
         rs;
       let a = c.carena in
@@ -851,14 +844,17 @@ let envelope ?ctx:ctx_opt ~prefix rs =
       a_u32 a !nv;
       for i = 0 to !nv - 1 do
         let v = !vs.(i) in
-        a_u16 a (Array.length v.tag_labels);
-        Array.iter (a_str16 a) v.tag_labels;
-        a_u16 a (Array.length v.field_labels);
+        let ntags = Snet.Record.Shape.ntags v.shape in
+        a_u16 a ntags;
+        for k = 0 to ntags - 1 do
+          a_str16 a (Snet.Record.Shape.tag_label v.shape k)
+        done;
+        a_u16 a (Array.length v.key_names);
         Array.iteri
-          (fun j l ->
-            a_str16 a l;
-            a_str16 a v.key_names.(j))
-          v.field_labels
+          (fun j key_name ->
+            a_str16 a (Snet.Record.Shape.field_label v.shape j);
+            a_str16 a key_name)
+          v.key_names
       done;
       arena_reserve a body.alen;
       Bytes.blit body.abuf 0 a.abuf a.alen body.alen;
@@ -876,9 +872,9 @@ let check_count cur n ~min_bytes what =
          (Printf.sprintf "%s count %d exceeds what the %d remaining bytes hold"
             what n (cur.limit - cur.pos)))
 
-(* Labels must be strictly increasing: the decoder fills a template
-   whose maps sort their labels, so any other order (or a repeat)
-   would pair values with the wrong labels. *)
+(* Labels must be strictly increasing: the decoder fills each record's
+   value arrays in the order of its shape's sorted labels, so any other
+   order (or a repeat) would pair values with the wrong labels. *)
 let check_sorted what labels =
   for i = 1 to Array.length labels - 1 do
     if String.compare labels.(i - 1) labels.(i) >= 0 then
@@ -900,26 +896,15 @@ let read_variant c cur =
         let l = get_str16 cur in
         (l, get_str16 cur))
   in
-  let field_labels = Array.map fst pairs and key_names = Array.map snd pairs in
+  let field_labels = Array.map fst pairs in
   check_sorted "field" field_labels;
-  let v =
-    {
-      tag_labels;
-      field_labels;
-      key_names;
-      codecs = Array.map (fun (l, k) -> codec_for_decode c l k) pairs;
-    }
-  in
-  (* The template carries the variant's labels; each record refills it
-     with its own values. *)
-  let with_value x l = (l, x) in
-  let template =
-    Snet.Record.of_list
-      ~fields:
-        (List.map (with_value (Snet.Value.of_int 0)) (Array.to_list field_labels))
-      ~tags:(List.map (with_value 0) (Array.to_list tag_labels))
-  in
-  (v, template)
+  {
+    shape =
+      Snet.Record.Shape.make ~fields:(Array.to_list field_labels)
+        ~tags:(Array.to_list tag_labels);
+    key_names = Array.map snd pairs;
+    codecs = Array.map (fun (l, k) -> codec_for_decode c l k) pairs;
+  }
 
 let rec same_bytes cur t i =
   i = String.length t
@@ -951,6 +936,36 @@ let read_table c cur nv =
     table
   end
 
+let read_field cur v j =
+  get_field cur v.codecs.(j) (Snet.Record.Shape.field_label v.shape j)
+    v.key_names.(j)
+
+(* The values of one record of variant [v], straight into its shape's
+   slots. *)
+let read_record cur v =
+  let shape = v.shape in
+  let tags =
+    match Snet.Record.Shape.ntags shape with
+    | 0 -> [||]
+    | nt ->
+        let a = Array.make nt 0 in
+        for i = 0 to nt - 1 do
+          a.(i) <- get_tag cur
+        done;
+        a
+  in
+  let fields =
+    match Array.length v.codecs with
+    | 0 -> [||]
+    | nf ->
+        let a = Array.make nf (read_field cur v 0) in
+        for j = 1 to nf - 1 do
+          a.(j) <- read_field cur v j
+        done;
+        a
+  in
+  Snet.Record.of_shape shape ~fields ~tags
+
 let read_envelope ?ctx:ctx_opt s ~pos =
   with_ctx ctx_opt @@ fun c ->
   result @@ fun () ->
@@ -974,16 +989,6 @@ let read_envelope ?ctx:ctx_opt s ~pos =
   let nv = get_u32 cur in
   let table = read_table c cur nv in
   check_count cur n ~min_bytes:1 "record";
-  (* One pair of closures per envelope: [vi] and [fi] say which
-     variant and which of its fields the record being refilled is at. *)
-  let vi = ref 0 and fi = ref 0 in
-  let tag _ _ = get_tag cur in
-  let field label _ =
-    let v, _ = table.(!vi) in
-    let j = !fi in
-    fi := j + 1;
-    get_field cur v.codecs.(j) label v.key_names.(j)
-  in
   let rec records k acc =
     if k = n then List.rev acc
     else begin
@@ -994,10 +999,7 @@ let read_envelope ?ctx:ctx_opt s ~pos =
              (Printf.sprintf "record %d/%d: variant index %d out of range (%d \
                               in table)"
                 (k + 1) n i nv));
-      vi := i;
-      fi := 0;
-      let r = Snet.Record.map_values ~tag ~field (snd table.(i)) in
-      records (k + 1) (r :: acc)
+      records (k + 1) (read_record cur table.(i) :: acc)
     end
   in
   let rs = records 0 [] in

@@ -40,4 +40,6 @@ let () =
       ("serve", Test_serve.suite);
       ("detcheck", Test_detcheck.suite);
       ("durable", Test_durable.suite);
+      (* Last: it fills the process-wide record intern table. *)
+      ("intern_cap", Test_record.cap_suite);
     ]
