@@ -94,14 +94,16 @@ echo "== observability smoke =="
 dune build @obsv-smoke
 
 echo "== distribution smoke =="
-# TCP-gated dist tests (real sockets) plus the dist benchmark smoke:
-# wire codec throughput, the cut-edge overhead bar (loopback adds
-# <= 50us/record over a bare in-process channel) and the batched
+# TCP-gated dist tests (real sockets), then, on its own so nothing
+# else competes for the cores while it times, the dist benchmark
+# smoke: wire codec throughput, the cut-edge overhead bar (loopback
+# adds <= 50us/record over a bare in-process channel) and the batched
 # amortized bar (<= 5us/record at batch >= 8), recorded into
 # BENCH_dist.json. Tops off with two real multi-process solves: one
 # with default envelope batching, one with batching forced off
 # (--dist-batch 1) so the unbatched protocol path stays exercised.
 dune build @dist-smoke
+dune build @dist-bench-smoke
 ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy --workers 2 \
   > /dev/null
 ./_build/default/bin/snet_sudoku.exe --network fig2 --puzzle easy --workers 2 \

@@ -72,8 +72,9 @@ val start :
     given, replays a previously captured {!Netstate.t} into the actor
     graph as it builds: sync cells refill their stores, and recorded
     star stages / split replicas are built eagerly (their nested sync
-    cells restore through the same mechanism). The capture must come
-    from this engine (see {!capture}); paths are engine-local. *)
+    cells restore through the same mechanism). The capture may come
+    from either engine ({!capture} or {!Engine_seq.run_state}): both
+    name components alike. *)
 
 val feed : instance -> Record.t -> unit
 (** Inject one record into the network's input stream. May block

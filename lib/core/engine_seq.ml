@@ -2,230 +2,17 @@ type observer = edge:string -> Record.t -> unit
 
 exception Route_error = Errors.Route_error
 
-type ctx = {
-  observer : observer option;
-  stats : Stats.t;
-  (* Component instances that have already seen a record, keyed by
-     path; used to count dynamic unfolding. *)
-  seen : (string, unit) Hashtbl.t;
-  (* Prior run state replayed into components as they compile; lazily
-     compiled star stages / split replicas consult it too, so restored
-     unfolding re-creates the sync cells nested inside. *)
-  restore : Netstate.t;
-  mutable cap_syncs : (string * (unit -> Netstate.sync_cell)) list;
-  mutable cap_splits : (string * (unit -> int list)) list;
-  mutable cap_stars : (string * (unit -> int)) list;
-}
-
-let observe ctx path r =
-  match ctx.observer with Some f -> f ~edge:path r | None -> ()
-
-let first_visit ctx path =
-  if Hashtbl.mem ctx.seen path then false
-  else begin
-    Hashtbl.add ctx.seen path ();
-    true
-  end
-
-(* A compiled component: given a downstream continuation, consume one
-   record. *)
-type comp = (Record.t -> unit) -> Record.t -> unit
-
-(* Error records produced by a supervised box bypass every component:
-   they flow straight through to the network output, so each compiled
-   node forwards them to its continuation untouched. *)
-let rec compile ctx path net : comp =
-  let node = compile_node ctx path net in
-  fun emit r -> if Supervise.is_error r then emit r else node emit r
-
-and compile_node ctx path net : comp =
-  match net with
-  | Net.Box b ->
-      let path = path ^ "/box:" ^ Box.name b in
-      let sup = Box.supervision b in
-      let bname = Box.name b in
-      fun emit r ->
-        observe ctx path r;
-        if first_visit ctx path then Stats.record_instance ctx.stats;
-        Stats.record_box_invocation ctx.stats;
-        let t0 = Obsv.Probe.span_start () in
-        let outcome =
-          Supervise.supervise sup ~stats:ctx.stats ~name:bname
-            (Box.execute b) r
-        in
-        Obsv.Probe.span_end ~cat:"box" ~name:path t0;
-        (match outcome with
-        | Supervise.Emit outs ->
-            Stats.record_emission ctx.stats (List.length outs);
-            List.iter emit outs
-        | Supervise.Fail e -> raise e)
-  | Net.Filter f ->
-      let path = path ^ "/filter:" ^ Filter.name f in
-      fun emit r ->
-        observe ctx path r;
-        if first_visit ctx path then Stats.record_instance ctx.stats;
-        Stats.record_filter_invocation ctx.stats;
-        let t0 = Obsv.Probe.span_start () in
-        let outs = Filter.apply f r in
-        Obsv.Probe.span_end ~cat:"filter" ~name:path t0;
-        Stats.record_emission ctx.stats (List.length outs);
-        List.iter emit outs
-  | Net.Sync patterns ->
-      let path = path ^ "/sync" in
-      let slots = Array.make (List.length patterns) None in
-      let spent = ref false in
-      (match Netstate.sync_cell ctx.restore path with
-      | None -> ()
-      | Some c ->
-          spent := c.Netstate.spent;
-          List.iteri
-            (fun i s -> if i < Array.length slots then slots.(i) <- s)
-            c.Netstate.slots);
-      ctx.cap_syncs <-
-        ( path,
-          fun () -> { Netstate.slots = Array.to_list slots; spent = !spent } )
-        :: ctx.cap_syncs;
-      let pats = Array.of_list patterns in
-      fun emit r ->
-        observe ctx path r;
-        if first_visit ctx path then Stats.record_instance ctx.stats;
-        if !spent then emit r
-        else begin
-          let slot = ref None in
-          Array.iteri
-            (fun i p ->
-              if !slot = None && slots.(i) = None && Pattern.matches p r then
-                slot := Some i)
-            pats;
-          match !slot with
-          | None -> emit r
-          | Some i ->
-              slots.(i) <- Some r;
-              if Array.for_all Option.is_some slots then begin
-                spent := true;
-                (* Merge in pattern order; earlier patterns win on
-                   label collisions. *)
-                let merged =
-                  Array.fold_left
-                    (fun acc stored ->
-                      match (acc, stored) with
-                      | None, s -> s
-                      | Some acc, Some stored ->
-                          Some (Record.inherit_from ~excess:stored acc)
-                      | Some acc, None -> Some acc)
-                    None slots
-                in
-                Stats.record_emission ctx.stats 1;
-                emit (Option.get merged)
-              end
-        end
-  | Net.Observe { tag; body } ->
-      let inner = compile ctx (path ^ "/" ^ tag) body in
-      fun emit r ->
-        observe ctx (path ^ "/" ^ tag) r;
-        inner emit r
-  (* Placement hints are extra-functional: compile the body at the
-     same path so annotated and bare nets are indistinguishable. *)
-  | Net.Place { body; _ } -> compile ctx path body
-  | Net.Serial (a, b) ->
-      let ca = compile ctx (path ^ "/L") a in
-      let cb = compile ctx (path ^ "/R") b in
-      fun emit r -> ca (cb emit) r
-  | Net.Choice { left; right; det = _ } ->
-      let left_in = Typecheck.input_type left in
-      let right_in = Typecheck.input_type right in
-      let cl = compile ctx (path ^ "/l") left in
-      let cr = compile ctx (path ^ "/r") right in
-      fun emit r ->
-        (* Best-match routing; on a tie the left branch is chosen (a
-           legal resolution of the nondeterministic choice, and the
-           deterministic one for [A | B]). *)
-        let sl = Rectype.match_score left_in r in
-        let sr = Rectype.match_score right_in r in
-        (match (sl, sr) with
-        | None, None ->
-            raise
-              (Route_error
-                 (Printf.sprintf
-                    "record %s matches neither branch of %s at %s"
-                    (Record.to_string r) (Net.to_string net) path))
-        | Some _, None -> cl emit r
-        | None, Some _ -> cr emit r
-        | Some a, Some b -> if a >= b then cl emit r else cr emit r)
-  | Net.Star { body; exit; det = _ } ->
-      let star_path = path ^ "/star" in
-      (* Stage [d] of the unfolding compiles the body lazily on first
-         use — the demand-driven unfolding of the paper. *)
-      let stages : (int, comp) Hashtbl.t = Hashtbl.create 8 in
-      let depth = ref 0 in
-      let stage_body ctx d =
-        match Hashtbl.find_opt stages d with
-        | Some c -> c
-        | None ->
-            let c = compile ctx (Printf.sprintf "%s@%d" star_path d) body in
-            Hashtbl.add stages d c;
-            if d > !depth then depth := d;
-            c
-      in
-      for d = 1 to Netstate.star_depth ctx.restore path do
-        ignore (stage_body ctx d : comp)
-      done;
-      ctx.cap_stars <- (path, fun () -> !depth) :: ctx.cap_stars;
-      fun emit r ->
-        let rec tap d r =
-          (* An error record exits the replication pipeline at the next
-             tap; looping it back would unfold stages forever. *)
-          if Supervise.is_error r || Pattern.matches exit r then emit r
-          else begin
-            let stage_path = Printf.sprintf "%s@%d" star_path (d + 1) in
-            if first_visit ctx (stage_path ^ "#stage") then begin
-              Stats.record_star_stage ctx.stats ~depth:(d + 1);
-              Obsv.Probe.star_depth ~depth:(d + 1)
-            end;
-            (stage_body ctx (d + 1)) (tap (d + 1)) r
-          end
-        in
-        tap 0 r
-  | Net.Split { body; tag; det = _ } ->
-      let split_path = path ^ "/split" in
-      let replicas : (int, comp) Hashtbl.t = Hashtbl.create 8 in
-      let replica_for v =
-        match Hashtbl.find_opt replicas v with
-        | Some c -> c
-        | None ->
-            let c =
-              compile ctx (Printf.sprintf "%s[%s=%d]" split_path tag v) body
-            in
-            Hashtbl.add replicas v c;
-            Stats.record_split_replica ctx.stats;
-            c
-      in
-      List.iter
-        (fun v -> ignore (replica_for v : comp))
-        (Netstate.split_tags ctx.restore path);
-      ctx.cap_splits <-
-        ( path,
-          fun () -> Hashtbl.fold (fun v _ acc -> v :: acc) replicas [] )
-        :: ctx.cap_splits;
-      fun emit r ->
-        let v =
-          match Record.tag tag r with
-          | Some v -> v
-          | None ->
-              raise
-                (Route_error
-                   (Printf.sprintf "record %s lacks split tag <%s> at %s"
-                      (Record.to_string r) tag path))
-        in
-        replica_for v emit r
-
-let capture_ctx ctx =
-  Netstate.normalize
-    {
-      Netstate.syncs = List.map (fun (p, f) -> (p, f ())) ctx.cap_syncs;
-      splits = List.map (fun (p, f) -> (p, f ())) ctx.cap_splits;
-      stars = List.map (fun (p, f) -> (p, f ())) ctx.cap_stars;
-    }
+(* Every node calls its downstream directly: a record emitted by a
+   component is carried through the rest of the network before the
+   component's next emission is looked at. No merge point buffers, so
+   deterministic and nondeterministic combinators coincide. *)
+let host : (Record.t -> unit, unit) Node.host =
+  {
+    Node.leaf = (fun _ step ~down r -> List.iter down (step r));
+    route = (fun f -> f ());
+    send = (fun t () r -> t r);
+    merge = (fun _ ~det:_ ~down -> (Fun.id, down));
+  }
 
 let run_state ?observer ?stats ?supervision ?(restore = Netstate.empty) net
     inputs =
@@ -239,21 +26,11 @@ let run_state ?observer ?stats ?supervision ?(restore = Netstate.empty) net
   let variants = List.map Rectype.Variant.of_record inputs in
   if variants <> [] then ignore (Typecheck.flow variants net);
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  let ctx =
-    {
-      observer;
-      stats;
-      seen = Hashtbl.create 64;
-      restore;
-      cap_syncs = [];
-      cap_splits = [];
-      cap_stars = [];
-    }
-  in
-  let compiled = compile ctx "" net in
+  let ctx = Node.create ?observer ~restore stats in
   let out = ref [] in
-  List.iter (fun r -> compiled (fun o -> out := o :: !out) r) inputs;
-  (List.rev !out, capture_ctx ctx)
+  let entry = Node.build ctx host net ~down:(fun o -> out := o :: !out) in
+  List.iter entry inputs;
+  (List.rev !out, Node.capture ctx)
 
 let run ?observer ?stats ?supervision ?restore net inputs =
   fst (run_state ?observer ?stats ?supervision ?restore net inputs)

@@ -10,13 +10,15 @@
     concurrently must produce exactly this output; a nondeterministic
     one must produce a permutation of it.
 
-    Replica instantiation is tracked structurally (a star stage or
-    split replica counts when the first record reaches it), so the
-    paper's unfolding bounds can be checked without real threads. *)
+    Star stages and split replicas unfold lazily, when the first
+    record reaches them, and every instance is counted when it is
+    built — the same rule as {!Engine_conc}, since both engines build
+    through the same nodes — so the paper's unfolding bounds can be
+    checked without real threads. *)
 
 type observer = edge:string -> Record.t -> unit
 (** Called with the path of the component a record is about to enter.
-    Paths look like ["/star@1/split[k=3]/box:solveOneLevel"]. *)
+    Paths look like ["/stage@1/split[k=3]/box:solveOneLevel"]. *)
 
 exception Route_error of string
 (** A record reached a parallel composition no branch of which accepts
@@ -35,8 +37,8 @@ val run :
     order. [supervision], when given, overrides every box's own config
     ({!Net.with_supervision}); error records emitted by supervised
     boxes bypass the remaining components and appear in the output.
-    [restore], when given, replays a previously captured
-    {!Netstate.t} into the freshly compiled network before any input
+    [restore], when given, replays a {!Netstate.t} captured on either
+    engine into the freshly compiled network before any input
     flows: sync cells refill their stores and star/split unfoldings
     are re-created, so running the suffix of an input stream over the
     captured prefix state is equivalent to one uninterrupted run.

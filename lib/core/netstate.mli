@@ -9,12 +9,14 @@
     {!Engine_conc.capture} produce one, and both engines accept a
     [?restore] argument that replays it into a freshly built instance.
 
-    Paths are engine-local (the two engines name star stages
-    differently), so a capture must be restored by the same engine
-    kind that produced it. Unfolding extents matter because replica
-    paths are deterministic: pre-building the recorded replicas
-    re-creates the sync cells that live inside them, which is what
-    lets the sync slots be restored at all. *)
+    Paths are engine-independent: both engines compile the network
+    through the same nodes ([Node]), which name every component the
+    same way, so a capture taken on either engine restores on the
+    other, and {!Engine_seq} is the reference for captured state as
+    it is for outputs. Unfolding extents matter because replica paths
+    are deterministic: pre-building the recorded replicas re-creates
+    the sync cells that live inside them, which is what lets the sync
+    slots be restored at all. *)
 
 type sync_cell = { slots : Record.t option list; spent : bool }
 (** One synchro cell: [slots] aligned with the cell's pattern list

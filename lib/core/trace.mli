@@ -8,7 +8,7 @@
 
 type entry = {
   index : int;  (** Global arrival index, starting at 0. *)
-  edge : string;  (** Component path, e.g. ["/star@3/box:solveOneLevel"]. *)
+  edge : string;  (** Component path, e.g. ["/stage@3/box:solveOneLevel"]. *)
   record : Record.t;
 }
 

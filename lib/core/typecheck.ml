@@ -185,15 +185,6 @@ let rec input_type = function
         (input_type body)
       |> Rectype.normalise
 
-(* Feed a single exact variant into a component with declared signature
-   [sg], tracking flow inheritance exactly. *)
-let feed_exact sg v =
-  match best_input sg.Rectype.input v with
-  | None -> None
-  | Some w ->
-      let leftover = Rectype.Variant.diff v w in
-      Some (List.map (fun u -> Rectype.Variant.union u leftover) sg.Rectype.output)
-
 let rec flow given net =
   let out =
     List.concat_map (fun v -> flow_variant v net) (Rectype.normalise given)
@@ -217,8 +208,10 @@ and flow_variant v net =
   | Net.Observe { body; _ } | Net.Place { body; _ } -> flow_variant v body
   | Net.Serial (a, b) -> flow (flow_variant v a) b
   | Net.Choice { left; right; _ } ->
-      let sl = variant_score (input_type left) v in
-      let sr = variant_score (input_type right) v in
+      let score branch =
+        Option.map Rectype.Variant.arity (best_input (input_type branch) v)
+      in
+      let sl = score left and sr = score right in
       (match (sl, sr) with
       | None, None ->
           fail "parallel composition %s: no branch accepts %s"
@@ -275,7 +268,7 @@ and flow_variant v net =
       flow_variant v body
 
 and flow_leaf v net sg =
-  match feed_exact sg v with
+  match feed sg v with
   | Some outs -> outs
   | None ->
       fail "%s: input %s not accepted (declared input %s)"
@@ -283,12 +276,3 @@ and flow_leaf v net sg =
         (Rectype.Variant.to_string v)
         (Rectype.to_string sg.Rectype.input)
 
-and variant_score input v =
-  List.fold_left
-    (fun best w ->
-      if Rectype.Variant.subtype v w then
-        match best with
-        | Some b when b >= Rectype.Variant.arity w -> best
-        | _ -> Some (Rectype.Variant.arity w)
-      else best)
-    None input

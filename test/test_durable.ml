@@ -434,6 +434,115 @@ let test_conc_capture_restore () =
             (multiset_eq reference (outs1 @ outs2)))
         [ 0; 3; 5; 8 ])
 
+(* A star whose body holds a synchro-cell,
+   [(sync{a},{b} .. (markA | markB)) ** {<done>}]: the cell lives under
+   the star's first stage, so a capture taken on one engine restores on
+   the other only if both name that stage alike. *)
+let mark label =
+  Snet.Box.make ~name:("mark" ^ label) ~input:[ F label ]
+    ~outputs:[ [ F label; T "done" ] ]
+    (fun ~emit -> function
+      | [ v ] -> emit 1 [ v; Tag 1 ]
+      | _ -> assert false)
+
+let staged_cell_net ~det =
+  Net.star ~det
+    (Net.serial (ab_cell ())
+       (Net.choice ~det:true (Net.box (mark "a")) (Net.box (mark "b"))))
+    (P.make ~fields:[] ~tags:[ "done" ] ())
+
+let staged_cell_inputs =
+  [
+    record ~f:[ ("a", 1) ] ~t:[];
+    record ~f:[ ("b", 2) ] ~t:[];
+    record ~f:[ ("a", 3) ] ~t:[];
+    record ~f:[ ("b", 4) ] ~t:[];
+    record ~f:[ ("a", 5) ] ~t:[];
+  ]
+
+let test_cross_engine_restore () =
+  let pool = Scheduler.Pool.create ~num_domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun det ->
+          let net () = staged_cell_net ~det in
+          let full = Snet.Engine_seq.run (net ()) staged_cell_inputs in
+          let check what k got =
+            let label =
+              Printf.sprintf "%s star, cut at %d: %s = uninterrupted seq run"
+                (if det then "det" else "nondet")
+                k what
+            in
+            if det then
+              Alcotest.(check (list string))
+                label
+                (List.map Record.to_string full)
+                (List.map Record.to_string got)
+            else Alcotest.(check bool) label true (multiset_eq full got)
+          in
+          let conc_run ?restore inputs =
+            let i = Snet.Engine_conc.start ~pool ?restore (net ()) in
+            List.iter (Snet.Engine_conc.feed i) inputs;
+            let outs = Snet.Engine_conc.finish i in
+            (outs, Snet.Engine_conc.capture i)
+          in
+          for k = 0 to List.length staged_cell_inputs do
+            let prefix = take k staged_cell_inputs
+            and suffix = drop k staged_cell_inputs in
+            let outs1, st = conc_run prefix in
+            check "conc prefix @ seq suffix" k
+              (outs1 @ Snet.Engine_seq.run ~restore:st (net ()) suffix);
+            let outs1, st = Snet.Engine_seq.run_state (net ()) prefix in
+            check "seq prefix @ conc suffix" k
+              (outs1 @ fst (conc_run ~restore:st suffix))
+          done)
+        [ true; false ])
+
+(* Star depths, split tags and the entry cell are all determined by
+   the input data, so the same prefix leaves the same state on both
+   engines. Both run on the virtual scheduler: the sluggish box's
+   sleeps are then instant, and the conc run follows a seeded
+   schedule. *)
+let prop_capture_agrees klass =
+  let arb_spec =
+    QCheck.make ~print:Detcheck.Netgen.print
+      ~shrink:(fun spec yield -> Seq.iter yield (Detcheck.Netgen.shrink spec))
+      (Detcheck.Netgen.gen klass)
+  in
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "%s nets: seq and conc captures agree"
+         (Detcheck.Netgen.klass_to_string klass))
+    ~count:30
+    (QCheck.triple arb_spec
+       (QCheck.make QCheck.Gen.(int_bound 12))
+       (QCheck.make QCheck.Gen.(int_bound 100_000)))
+    (fun (spec, cut, seed) ->
+      let net = Detcheck.Netgen.to_net spec in
+      let prefix = take cut (Detcheck.Netgen.records spec) in
+      let in_virtual f =
+        match fst (Sv.run ~strategy:(Strategy.random ~seed) f) with
+        | Ok st -> st
+        | Error e -> raise e
+      in
+      let seq =
+        in_virtual (fun _ -> snd (Snet.Engine_seq.run_state net prefix))
+      in
+      let conc =
+        in_virtual (fun sched ->
+            let i = Snet.Engine_conc.start ~exec:(Sv.exec sched) net in
+            List.iter (Snet.Engine_conc.feed i) prefix;
+            ignore (Snet.Engine_conc.finish i : Record.t list);
+            Snet.Engine_conc.capture i)
+      in
+      Snet.Netstate.equal seq conc
+      || QCheck.Test.fail_reportf
+           "cut %d, schedule seed %d:\nseq:\n%sconc:\n%s" cut seed
+           (Snet.Netstate.to_string seq)
+           (Snet.Netstate.to_string conc))
+
 (* --- the detcheck crash-point matrix ------------------------------ *)
 
 (* Process death armed at one durability seam crossing, under the
@@ -1112,6 +1221,10 @@ let suite =
       test_run_state_cut_points;
     Alcotest.test_case "conc capture/restore at quiescence" `Quick
       test_conc_capture_restore;
+    Alcotest.test_case "capture on one engine, restore on the other" `Quick
+      test_cross_engine_restore;
+    Seeded.to_alcotest (prop_capture_agrees Detcheck.Netgen.Det);
+    Seeded.to_alcotest (prop_capture_agrees Detcheck.Netgen.Nondet);
     Alcotest.test_case "crash-point matrix (detcheck, >= 100 schedules)" `Slow
       test_crash_matrix;
     Alcotest.test_case "embedded durable restart" `Quick test_embedded_restart;
