@@ -2168,7 +2168,7 @@ let exp_elastic () =
     Dist.Engine_dist.run
       ~workers:(Dist.Plan.parts plan)
       ~plan
-      ~worker_throttle:(0, throttle_us)
+      ~fault:Dist.Fault.[ Stall { part = 0; us = throttle_us } ]
       (net ()) inputs
   in
   let skewed_s = Unix.gettimeofday () -. t0 in
@@ -2195,7 +2195,7 @@ let exp_elastic () =
     Dist.Engine_dist.run
       ~workers:(Dist.Plan.parts plan)
       ~plan
-      ~worker_throttle:(0, throttle_us)
+      ~fault:Dist.Fault.[ Stall { part = 0; us = throttle_us } ]
       ~collector
       ~on_handle:(fun h ->
         balancer :=

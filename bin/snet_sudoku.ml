@@ -223,23 +223,35 @@ let run_solver kind engine det throttle cutoff domains workers dist_batch
                            ()))
               else None
             in
+            let fault =
+              Option.map
+                (fun (part, k) ->
+                  Dist.Fault.[ Crash { part; seam = Record; crossing = k + 1 } ])
+                kill_worker
+            in
             let outputs =
-              Fun.protect
-                ~finally:(fun () ->
-                  match !balancer with
-                  | Some b ->
-                      Elastic.Balancer.stop b;
-                      if Elastic.Balancer.migrations b > 0 then
-                        Printf.printf "rebalance: %d migration(s)\n"
-                          (Elastic.Balancer.migrations b)
-                  | None -> ())
-                (fun () ->
-                  Dist.Engine_dist.run_spawned
-                    ~worker_exe:(find_worker_exe ()) ~spec ~workers ~stats
-                    ?supervision ?kill_worker ~batch ?collector
-                    ?plan ?on_handle
-                    ~worker_args:[ "--domains"; string_of_int domains ]
-                    net inputs)
+              try
+                Fun.protect
+                  ~finally:(fun () ->
+                    match !balancer with
+                    | Some b ->
+                        Elastic.Balancer.stop b;
+                        if Elastic.Balancer.migrations b > 0 then
+                          Printf.printf "rebalance: %d migration(s)\n"
+                            (Elastic.Balancer.migrations b)
+                    | None -> ())
+                  (fun () ->
+                    Dist.Engine_dist.run_spawned
+                      ~worker_exe:(find_worker_exe ()) ~spec ~workers ~stats
+                      ?supervision ?fault ~batch ?collector
+                      ?plan ?on_handle
+                      ~worker_args:[ "--domains"; string_of_int domains ]
+                      net inputs)
+              with Invalid_argument e ->
+                (* A fault or plan this run cannot honour, e.g. a
+                   --kill-worker partition outside the plan. *)
+                prerr_endline ("snet-sudoku: " ^ e);
+                exit 2
             in
             (outputs, Printf.sprintf "distributed network (%d workers)" workers)
           end

@@ -21,69 +21,74 @@
       partitions and surface directly in the output, mirroring the
       in-engine error-bypass semantics.
 
+    {2 Core and driver}
+
+    The coordinator is a core and a driver. The core ([Coord], an
+    internal module) holds every cut edge's state — routing, sequence
+    stamps, credits, watermarks, respawns and migrations — as one
+    transition function from events (a decoded frame or close, a
+    migrate request, a respawn's outcome, the end of a turn) to
+    actions (send these messages, close, respawn, answer); it touches
+    no socket, thread or clock, so tests replay its races under seeded
+    schedules. The threaded driver here runs it: the caller of
+    {!run}/{!run_spawned} runs the loop, and one reader thread per
+    connection only posts what it receives to the loop's inbox. Each
+    turn the loop steps everything queued, carries out the actions (a
+    respawn at once, its outcome stepped before anything else), and
+    ends with passes that feed inputs and write, until one is quiet.
+
     {2 Flow control and batching}
 
-    A cut edge carries a credit window of [credits] records: the
-    coordinator decrements a credit per record sent and writes no more
-    records to the edge once the window is exhausted; the worker returns credits as input records
-    are fully processed (one [Credit k] per input envelope). Stalls are
-    counted into {!Snet.Stats.record_backpressure} and surfaced as
-    [Obsv.Probe.edge_stall] on the [dist:wN.in] edge — the same
-    backpressure contract bounded mailboxes give the shared-memory
-    engines.
-
-    One coordinator thread — the caller of {!run}/{!run_spawned} —
-    runs an event loop that alone owns every cut edge's state:
-    routing, sequence stamps, credits, watermarks, respawns and
-    migrations. One reader thread per connection only receives: it
-    posts each frame to the loop's inbox and never waits on the loop.
-    Records are routed onto a per-edge pending queue bounded by the
-    credit window, and the loop writes whatever is queued — up to
-    [min credits batch] records per [Proto.Data_batch] envelope — in
-    one coalesced transport write per edge and turn. Under light load
-    the pending queue is empty when a record arrives, so it leaves
-    immediately (a singleton envelope is a plain [Data]); under load,
-    envelopes fill and per-record syscall/framing cost amortises away.
-    Inputs are fed only while partition 0's window has room; a
-    worker's output batch that meets a full destination window is
-    held, and that worker's later frames (credits included) wait
-    behind it until room frees — the backpressure of a blocked
-    producer, with no thread blocked. End-of-stream is two-phase: the
-    wire [Eof] goes out only after the pending queue drains, and
-    sending it needs no credit — so a full window plus an Eof can
-    never park the edge. [batch = 1] disables batching entirely; the
-    default envelope cap is {!default_batch}.
+    A cut edge carries a credit window of [credits] records; the worker
+    returns one [Credit k] per input envelope once its records are
+    fully processed. Routing queues at most a window of records per
+    edge; the loop writes up to [min credits batch] of them per
+    [Proto.Data_batch] envelope (a singleton is a plain [Data]), all of
+    an edge's envelopes of a pass in one transport write, so light load
+    sends each record at once and heavy load amortises framing. A
+    worker's output batch that meets a full window downstream is held,
+    and that worker's later frames wait behind it: the backpressure of
+    a blocked producer, counted by {!Snet.Stats.record_backpressure}
+    and [Obsv.Probe.edge_stall], with no thread blocked. The wire [Eof]
+    goes out once the queue drains and needs no credit, so a full
+    window can never hold it back. [batch = 1] disables batching; the
+    default cap is {!default_batch}.
 
     {2 Worker failure}
 
     A worker that dies (connection drop, [Crash] message, killed
-    process) is handled per the run's supervision policy:
-
-    - [Fail_fast] (default): the run raises after teardown;
-    - [Error_record]: every record in flight to the dead worker — and
-      every later record routed at it — is stamped with
-      {!Snet.Supervise.error_record} (box [dist:workerN]) and surfaces
-      in the output; downstream partitions keep running;
-    - [Retry n]: the worker is respawned and the uncredited in-flight
-      records are resent, up to [n] times per worker, after which the
-      [Error_record] behaviour applies.
+    process) is handled per the run's supervision policy: [Fail_fast]
+    (default) raises after teardown; [Error_record] stamps every record
+    in flight to it, or later routed at it, with
+    {!Snet.Supervise.error_record} (box [dist:workerN]) while
+    downstream partitions keep running; [Retry n] respawns it and
+    resends the uncredited in-flight records, up to [n] times per
+    worker, then behaves as [Error_record].
 
     {2 Exactly-once resend (sequence watermark)}
 
-    Every record the coordinator puts on a cut edge is stamped with a
-    monotone sequence number (tag [dist_seq], stripped again at the
-    global output); outputs inherit the stamp of the input that
-    produced them through the worker's subnet. Workers consume their
-    input strictly in order and flush outputs only at quiescent
-    envelope boundaries, so when an output stamped [s] has come back
-    from worker [i], every input that worker received with a stamp at
-    or below [s] was fully processed. On a [Retry] respawn the
-    coordinator therefore resends only the uncredited in-flight
-    records {e above} this per-worker watermark: a worker that died
-    after flushing an envelope's outputs but before its credit was
-    observed (the [crash_flush] fault-injection window, and the
-    natural TCP race) no longer causes those outputs to be delivered
-    twice.
+    Every record on a cut edge carries a monotone sequence stamp (tag
+    [dist_seq], stripped at the global output), and outputs inherit
+    their input's stamp. Workers consume in order and flush only at
+    envelope boundaries, so an output stamped [s] from worker [i]
+    proves that [i] fully processed every input stamped at or below
+    [s]. A respawn resends only the uncredited records {e above} this
+    watermark, so a worker that flushed outputs but died before its
+    credit arrived (a {!Fault.Flush} crash, or the natural TCP race)
+    does not deliver them twice.
+
+    {2 Fault plans}
+
+    [?fault] on {!run}, {!run_spawned} and {!serve} is one {!Fault.t}:
+    the crashes and stalls a run injects into its own workers, each
+    naming a partition and, for a crash, a seam (a consumed record,
+    one with its envelope's outputs flushed, a freeze) and a crossing.
+    A fault applies to its partition's first spawn only, so recovery is
+    honest. A partition outside the run's plan, a crossing below 1 or a
+    negative stall is refused with [Invalid_argument]. Worker processes
+    learn their crash from the Hello's [crash_after]/[crash_flush], so
+    {!run_spawned} takes one [Record] or [Flush] crash per partition
+    and refuses anything else; loopback workers honour every fault.
 
     {2 Durability taps}
 
@@ -96,28 +101,22 @@
     {2 Cluster observability}
 
     [?collector] on {!run}/{!run_spawned} turns on metric/trace
-    shipping: the Hello each worker receives carries the coordinator's
-    [Obsv.Sink] flag byte, the worker mirrors those subsystems locally
-    and ships [Proto.Metrics_report] frames (immediately after
-    [Hello_ack], every 0.5 s, and just before [Done])
-    plus one [Proto.Trace_chunk] of its retained sink events when
-    tracing is on. The coordinator feeds them into the
-    [Obsv.Agg.collector] — merged HDR histograms, per-partition
-    {!Obsv.Health} rows (queue depth, credits, stall rate, journal
-    lag), and a merged Chrome trace whose cross-worker flow arrows are
-    stitched from a per-record trace id (tag [Obsv.Probe.trace_tag],
-    stamped at ingress only when absent, carried across every cut
-    edge, stripped at the global output). Without a collector — and
-    with observability off — the record path keeps its single atomic
-    flag read and the wire format carries one extra Hello byte. *)
+    shipping: each Hello carries the coordinator's [Obsv.Sink] flag
+    byte, and the worker mirrors those subsystems and ships
+    [Proto.Metrics_report] frames (after [Hello_ack], every 0.5 s and
+    before [Done]) plus, when tracing, one [Proto.Trace_chunk]. The
+    [Obsv.Agg.collector] merges them into HDR histograms,
+    {!Obsv.Health} rows and a Chrome trace whose cross-worker arrows
+    follow a per-record trace id (tag [Obsv.Probe.trace_tag], stamped
+    at ingress when absent, stripped at the global output). Without a
+    collector the record path keeps its single atomic flag read. *)
 
 (** {2 Batch cap validation}
 
     Every envelope cap — [--dist-batch], [snet_serve --batch], the
     [?batch] arguments below and [Serve.Server]'s config — goes through
-    {!validate_batch}: values above [max_batch] are clamped (the
-    documented upper bound), anything below [min_batch] ([0],
-    negatives) is rejected with a descriptive message. *)
+    {!validate_batch}: above [max_batch] is clamped, below [min_batch]
+    rejected with a descriptive message. *)
 
 val min_batch : int
 (** [1] — a cap of 1 disables batching. *)
@@ -138,30 +137,19 @@ val segments : Snet.Net.t -> Snet.Net.t list
 
 (** {2 Live repartitioning}
 
-    A {!handle} (delivered via [?on_handle] below) lets an external
-    controller — [Elastic.Balancer], a test, a REPL — move partitions
-    while the run is in flight. {!migrate} executes the three-step
-    drain/freeze/respawn protocol on one partition:
-
-    + the coordinator loop marks the partition migrating and sends a
-      [Proto.Migrate] frame; from then on it writes nothing to the
-      partition while routing keeps enqueueing onto it, bounded by
-      the credit window as usual;
-    + the worker finishes every input it already received, flushes the
-      outputs and credits, captures its engine state at quiescence and
-      answers [Proto.Freeze_ack] (workers process strictly in order
-      and the transport is FIFO, so all credits precede the ack — the
-      in-flight queue is empty after a clean freeze);
-    + the coordinator respawns the partition, seeds the replacement
-      with [Proto.Restore] (skipped when the captured state is empty)
-      and resends any uncredited in-flight records above the sequence
-      watermark, then marks it alive — queued records flow again.
-
-    No record is lost or duplicated: the same watermark argument that
-    covers crash respawns applies, with the simplification that a
-    clean freeze leaves nothing uncredited. A worker that dies mid
-    freeze falls back to ordinary crash recovery under the run's
-    supervision policy. *)
+    A {!handle} (delivered via [?on_handle] below) lets a controller —
+    [Elastic.Balancer], a test — move partitions while the run is in
+    flight. {!migrate} drains, freezes and respawns one partition: the
+    loop stops writing to it (routing keeps queueing, bounded by the
+    window) and sends [Proto.Migrate]; the worker finishes what it
+    received, flushes outputs and credits, and answers
+    [Proto.Freeze_ack] with its captured engine state; the coordinator
+    respawns the partition, seeds the replacement with
+    [Proto.Restore] (skipped for an empty state), resends any
+    uncredited records above the watermark and lets queued records
+    flow again. Nothing is lost or duplicated, by the same watermark
+    argument as a crash respawn. A worker that dies mid-freeze falls
+    back to crash recovery under the run's policy. *)
 
 type handle
 
@@ -185,44 +173,30 @@ val handle_plan : handle -> Plan.t
 (** The placement plan the run was cut under. *)
 
 val handle_finished : handle -> bool
-(** True once the run has completed or failed — migrations are
-    refused from then on. *)
+(** True once the run has completed or failed; migrations are refused. *)
 
 val serve :
   ?pool:Scheduler.Pool.t ->
   ?tap:(edge:string -> Snet.Record.t -> unit) ->
-  ?throttle_us:int ->
-  ?die_in_freeze:bool ->
+  ?fault:Fault.t ->
   conn:Transport.conn ->
   resolve:(string -> Snet.Net.t) ->
   unit ->
   unit
 (** Worker side: speak the {!Proto} protocol on [conn] — wait for
-    [Hello], resolve the network named by its [spec], run partition
-    [part]/[parts] on {!Snet.Engine_conc}, stream records until [Eof],
-    answer [Done], exit on [Shutdown] or connection close. Subnet
-    failures are reported as [Crash] messages; the connection is
-    always closed on return. [tap] observes every input record this
-    worker consumes (edge [dist:wN.in] for partition [N]), before it
-    is fed — [snet_worker --journal] hangs its local journal here.
-    When the Hello requests shipping, a metrics report goes out right
-    after [Hello_ack], every 0.5 s, and just before [Done].
-
-    The Hello's [plan] selects this worker's subnet from the plan's
-    stage for its partition (a shard replica runs its whole replicated
-    segment); a Hello without a plan is answered with a [Crash] naming
-    the plan and no [Hello_ack]. [Proto.Restore] before the first
-    record seeds the engine with a migrated partition's captured state,
-    and
-    [Proto.Migrate] freezes the partition: outputs flush, the engine
-    state is captured ({!Statecodec}) and returned in
-    [Proto.Freeze_ack], and the worker exits.
-
-    [throttle_us] delays each consumed record by that many
-    microseconds — the skew-injection knob bench and tests use to
-    provoke rebalancing. [die_in_freeze] makes the worker die abruptly
-    instead of answering a [Migrate] — fault injection for the
-    freeze/death race. *)
+    [Hello], resolve the network named by its [spec], run the subnet
+    its [plan] gives partition [part] (a shard replica runs its whole
+    replicated segment) on {!Snet.Engine_conc}, stream records until
+    [Eof], answer [Done], exit on [Shutdown] or connection close. A
+    Hello without a plan, and any subnet failure, are answered with a
+    [Crash]; the connection is always closed on return. [tap] observes
+    every input record before it is fed (edge [dist:wN.in]) —
+    [snet_worker --journal] hangs its journal here. [Proto.Restore]
+    before the first record seeds the engine with a migrated
+    partition's state; [Proto.Migrate] flushes, captures the state
+    ({!Statecodec}) into [Proto.Freeze_ack], and exits. The worker
+    injects the faults of [fault] and of its Hello that name its
+    partition. *)
 
 val run :
   ?pool:Scheduler.Pool.t ->
@@ -231,40 +205,25 @@ val run :
   ?batch:int ->
   ?stats:Snet.Stats.t ->
   ?supervision:Snet.Supervise.config ->
-  ?kill_worker:int * int ->
-  ?crash_flush:bool ->
+  ?fault:Fault.t ->
   ?tap:(edge:string -> Snet.Record.t -> unit) ->
   ?collector:Obsv.Agg.collector ->
   ?plan:Plan.t ->
   ?on_handle:(handle -> unit) ->
-  ?worker_throttle:int * int ->
-  ?kill_in_freeze:int ->
   Snet.Net.t ->
   Snet.Record.t list ->
   Snet.Record.t list
 (** Hermetic in-process distributed run: simulated workers over
-    {!Transport.Loopback} pairs, each a thread running {!serve} on its
-    partition, coordinated as described above. Without [?plan] the
-    layout is {!Plan.contiguous} over [workers] (default 2)
-    partitions; with it, the plan's stages
-    decide both the cut and the shard groups ([workers] is then
-    ignored). [credits] (default 32) is the per-edge window; [batch]
-    (default {!default_batch}, checked by {!validate_batch}) caps
-    records per cut-edge envelope. [kill_worker (i, k)]
-    is the fault-injection hook: worker [i] dies abruptly after fully
-    processing [k] records (the respawned worker, under [Retry], is
-    not re-killed); [crash_flush] refines it so the dying worker still
-    flushes the crashing envelope's outputs but never its credit — the
-    duplicate-delivery window the sequence watermark dedupes. [tap]
-    observes cut-edge and global-output records (see above).
-    [on_handle] receives the live-repartitioning {!handle} once the
-    coordinator is up (before the first input is fed).
-    [worker_throttle (i, us)] slows worker [i] by [us] microseconds
-    per record; [kill_in_freeze i] makes worker [i] die instead of
-    acking its first [Migrate]. Both apply to first spawns only —
-    replacements run clean. Output is
+    {!Transport.Loopback} pairs, each a thread running {!serve},
+    coordinated as described above. Without [?plan] the layout is
+    {!Plan.contiguous} over [workers] (default 2) partitions; with it,
+    the plan decides the cut and the shard groups. [credits] (default
+    32) is the per-edge window; [batch] (default {!default_batch},
+    checked by {!validate_batch}) caps records per envelope. [fault],
+    [tap] and [collector] are described above; [on_handle] receives
+    the {!handle} before the first input is fed. Output is
     multiset-equal to {!Snet.Engine_seq.run} on the same network and
-    inputs (modulo stamped error records when workers are killed). *)
+    inputs, modulo stamped error records when workers die for good. *)
 
 val run_spawned :
   worker_exe:string ->
@@ -275,8 +234,7 @@ val run_spawned :
   ?batch:int ->
   ?stats:Snet.Stats.t ->
   ?supervision:Snet.Supervise.config ->
-  ?kill_worker:int * int ->
-  ?crash_flush:bool ->
+  ?fault:Fault.t ->
   ?tap:(edge:string -> Snet.Record.t -> unit) ->
   ?collector:Obsv.Agg.collector ->
   ?plan:Plan.t ->
@@ -291,8 +249,8 @@ val run_spawned :
     accept order, and coordinate over {!Transport.Tcp}. [net] must be
     the same network the worker binary resolves from [spec]; the plan
     travels in each Hello, so both sides provably run the same cut.
-    [kill_worker (i, k)] and [crash_flush] inject a worker crash as in
-    {!run}, and the remaining arguments mean what they do there.
+    [fault] takes only what a Hello carries (see above); the remaining
+    arguments mean what they do in {!run}.
     Worker processes are reaped on return, by force if they outlive
     the shutdown handshake.
     @raise Failure when a worker fails to connect within 30s, or on

@@ -152,7 +152,7 @@ let encode ?ctx m =
 (* Cut [rs] into envelopes of at most [batch] records, in order; a
    singleton envelope goes as plain Data, so a cap of 1 sends plain
    Data throughout. *)
-let data_msgs ?ctx ~batch rs =
+let chunk ~batch rs =
   let rec take k chunk = function
     | r :: rs when k > 0 -> take (k - 1) (r :: chunk) rs
     | rest -> (List.rev chunk, rest)
@@ -161,14 +161,11 @@ let data_msgs ?ctx ~batch rs =
     | [] -> List.rev acc
     | rs ->
         let chunk, rest = take (max 1 batch) [] rs in
-        let m =
-          match chunk with
-          | [ r ] -> encode ?ctx (Data r)
-          | _ -> encode ?ctx (Data_batch chunk)
-        in
-        go (m :: acc) rest
+        go ((match chunk with [ r ] -> Data r | _ -> Data_batch chunk) :: acc) rest
   in
   go [] rs
+
+let data_msgs ?ctx ~batch rs = List.map (encode ?ctx) (chunk ~batch rs)
 
 exception Bad of string
 

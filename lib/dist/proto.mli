@@ -140,12 +140,15 @@ val encode : ?ctx:Wire.ctx -> msg -> string
     used. @raise Wire.Unencodable on a [Data]/[Data_batch] record with
     unregistered field keys. *)
 
-val data_msgs :
-  ?ctx:Wire.ctx -> batch:int -> Snet.Record.t list -> string list
-(** Encode [rs], in order, as envelopes of at most [batch] records
+val chunk : batch:int -> Snet.Record.t list -> msg list
+(** Split [rs], in order, into envelopes of at most [batch] records
     each: [Data_batch] for a run, plain [Data] for a singleton, so
     [batch <= 1] sends plain [Data] throughout. The one envelope
     splitter of every cut edge and serve session. *)
+
+val data_msgs :
+  ?ctx:Wire.ctx -> batch:int -> Snet.Record.t list -> string list
+(** {!chunk}, encoded. *)
 
 val decode : ?ctx:Wire.ctx -> string -> (msg, string) result
 (** A [Data] or [Data_batch] envelope is rejected whole when its CRC,

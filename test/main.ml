@@ -35,10 +35,10 @@ let () =
       ("faults", Test_faults.suite);
       ("obsv", Test_obsv.suite);
       ("jsonx", Test_jsonx.suite);
-      ("dist", Test_dist.suite);
+      ("dist", Test_dist.suite @ Test_coord.step_suite);
       ("elastic", Test_elastic.suite);
       ("serve", Test_serve.suite);
-      ("detcheck", Test_detcheck.suite);
+      ("detcheck", Test_detcheck.suite @ Test_coord.explore_suite);
       ("durable", Test_durable.suite);
       (* Last: it fills the process-wide record intern table. *)
       ("intern_cap", Test_record.cap_suite);

@@ -11,6 +11,7 @@ module Proto = Dist.Proto
 module Transport = Dist.Transport
 module Engine_dist = Dist.Engine_dist
 module Plan = Dist.Plan
+module Fault = Dist.Fault
 module Record = Snet.Record
 module Value = Snet.Value
 module Nd = Sacarray.Nd
@@ -810,7 +811,7 @@ let error_record_cfg =
 let test_worker_kill_error_record () =
   let board = Sudoku.Puzzles.easy in
   let outs =
-    Engine_dist.run ~workers:2 ~kill_worker:(1, 0)
+    Engine_dist.run ~workers:2 ~fault:Fault.[ Crash { part = 1; seam = Record; crossing = 1 } ]
       ~supervision:error_record_cfg (Sudoku.Networks.fig2 ())
       (solve_inputs board)
   in
@@ -828,7 +829,7 @@ let test_worker_kill_fail_fast () =
   Alcotest.(check bool) "fail-fast raises" true
     (try
        ignore
-         (Engine_dist.run ~workers:2 ~kill_worker:(1, 0)
+         (Engine_dist.run ~workers:2 ~fault:Fault.[ Crash { part = 1; seam = Record; crossing = 1 } ]
             (Sudoku.Networks.fig2 ()) (solve_inputs board));
        false
      with Failure m -> contains m "dist:worker1")
@@ -839,7 +840,7 @@ let test_worker_kill_retry_recovers () =
     Snet.Engine_seq.run (Sudoku.Networks.fig2 ()) (solve_inputs board)
   in
   let outs =
-    Engine_dist.run ~workers:2 ~kill_worker:(1, 0)
+    Engine_dist.run ~workers:2 ~fault:Fault.[ Crash { part = 1; seam = Record; crossing = 1 } ]
       ~supervision:(Snet.Supervise.make ~policy:(Snet.Supervise.Retry 2) ())
       (Sudoku.Networks.fig2 ()) (solve_inputs board)
   in
@@ -859,7 +860,7 @@ let test_collector_survives_worker_death () =
   let run_one supervision col =
     try
       ignore
-        (Engine_dist.run ~workers:2 ~kill_worker:(1, 0) ?supervision
+        (Engine_dist.run ~workers:2 ~fault:Fault.[ Crash { part = 1; seam = Record; crossing = 1 } ] ?supervision
            ~collector:col (Sudoku.Networks.fig2 ()) (solve_inputs board))
     with Failure _ -> ()
   in
@@ -1272,7 +1273,7 @@ let test_dist_shard_kill_worker () =
   let outs =
     Engine_dist.run
       ~workers:(Plan.parts plan)
-      ~plan ~kill_worker:(2, 0) ~supervision:error_record_cfg
+      ~plan ~fault:Fault.[ Crash { part = 2; seam = Record; crossing = 1 } ] ~supervision:error_record_cfg
       (Sudoku.Networks.shard ()) inputs
   in
   let errors = List.filter Snet.Supervise.is_error outs in
@@ -1290,7 +1291,7 @@ let test_dist_shard_kill_worker () =
        ignore
          (Engine_dist.run
             ~workers:(Plan.parts plan)
-            ~plan ~kill_worker:(2, 0)
+            ~plan ~fault:Fault.[ Crash { part = 2; seam = Record; crossing = 1 } ]
             (Sudoku.Networks.shard ()) inputs);
        false
      with Failure m -> contains m "dist:worker2");
@@ -1298,7 +1299,7 @@ let test_dist_shard_kill_worker () =
   let outs =
     Engine_dist.run
       ~workers:(Plan.parts plan)
-      ~plan ~kill_worker:(2, 0)
+      ~plan ~fault:Fault.[ Crash { part = 2; seam = Record; crossing = 1 } ]
       ~supervision:(Snet.Supervise.make ~policy:(Snet.Supervise.Retry 2) ())
       (Sudoku.Networks.shard ()) inputs
   in
@@ -1377,7 +1378,14 @@ let batched_routing_stress ~run ~plan net inputs =
           check_exactly_once label reference outs)
         [
           ("fail-fast", None, None);
-          ("retry + kill", Some retry, Some (0, List.length inputs / 2));
+          ( "retry + kill",
+            Some retry,
+            Some
+              Fault.
+                [
+                  Crash
+                    { part = 0; seam = Flush; crossing = (List.length inputs / 2) + 1 };
+                ] );
         ])
     [ 1; 2; 32 ]
 
@@ -1409,7 +1417,7 @@ let fanout_plan =
 
 let run_loopback ~plan ~credits ?supervision ~kill net inputs =
   Engine_dist.run ~workers:(Plan.parts plan) ~plan ~batch:64 ~credits
-    ?supervision ?kill_worker:kill ~crash_flush:(kill <> None) net inputs
+    ?supervision ?fault:kill net inputs
 
 let test_batched_routing_stress () =
   batched_routing_stress ~run:run_loopback ~plan:(shard_plan 2)
@@ -1429,7 +1437,7 @@ let test_batched_routing_stress_tcp () =
           Engine_dist.run_spawned ~worker_exe
             ~spec:(Sudoku.Netspec.spec ~shards:2 "shard")
             ~workers:(Plan.parts plan) ~plan ~batch:64 ~credits ?supervision
-            ?kill_worker:kill ~crash_flush:(kill <> None) net inputs)
+            ?fault:kill net inputs)
         (Sudoku.Networks.shard ~shards:2 ())
         (shard_inputs stress_records)
 
@@ -1453,7 +1461,7 @@ let test_downstream_window_bound () =
             within ~seconds:60. label (fun () ->
                 Engine_dist.run ~workers:(Plan.parts fanout_plan)
                   ~plan:fanout_plan ~batch:64 ~credits
-                  ~worker_throttle:(1, 100) net inputs)
+                  ~fault:Fault.[ Stall { part = 1; us = 100 } ] net inputs)
           in
           Alcotest.(check bool) (label ^ ": multiset = seq") true
             (multiset_eq reference outs);
@@ -1491,7 +1499,7 @@ let test_migrate_mid_run () =
   let outs =
     Engine_dist.run
       ~workers:(Plan.parts plan)
-      ~plan ~collector:col ~worker_throttle:(0, 800)
+      ~plan ~collector:col ~fault:Fault.[ Stall { part = 0; us = 800 } ]
       ~on_handle:(fun h ->
         migrator :=
           Some (Thread.create (fun () -> result := Engine_dist.migrate h 0) ()))
@@ -1545,7 +1553,7 @@ let test_migrate_carries_state () =
   let result = ref (Error "migration never attempted") in
   let migrator = ref None in
   let outs =
-    Engine_dist.run ~workers:2 ~batch:1 ~tap ~worker_throttle:(0, 150_000)
+    Engine_dist.run ~workers:2 ~batch:1 ~tap ~fault:Fault.[ Stall { part = 0; us = 150_000 } ]
       ~on_handle:(fun h ->
         migrator :=
           Some
@@ -1616,7 +1624,13 @@ let test_migrate_freeze_death_recovers () =
   let outs =
     Engine_dist.run
       ~workers:(Plan.parts plan)
-      ~plan ~worker_throttle:(0, 800) ~kill_in_freeze:0
+      ~plan
+      ~fault:
+        Fault.
+          [
+            Stall { part = 0; us = 800 };
+            Crash { part = 0; seam = Freeze; crossing = 1 };
+          ]
       ~supervision:(Snet.Supervise.make ~policy:(Snet.Supervise.Retry 2) ())
       ~on_handle:(fun h ->
         migrator :=
@@ -1635,6 +1649,40 @@ let test_migrate_freeze_death_recovers () =
         (contains e "died during freeze"));
   Alcotest.(check bool) "crash recovery completes the run" true
     (multiset_eq reference outs)
+
+(* A fault the run cannot inject is refused before any worker starts,
+   never silently dropped: a partition outside the plan, a crossing
+   below 1, a negative stall, and on worker processes anything a
+   Hello cannot carry. *)
+let test_fault_plan_refusals () =
+  let refused label run fault =
+    match run fault with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  let loopback fault =
+    Engine_dist.run ~workers:2 ~fault (Sudoku.Networks.fig2 ())
+      (solve_inputs Sudoku.Puzzles.easy)
+  in
+  refused "partition outside the plan" loopback
+    Fault.[ Crash { part = 5; seam = Record; crossing = 1 } ];
+  refused "negative partition" loopback Fault.[ Stall { part = -1; us = 10 } ];
+  refused "negative record count" loopback
+    Fault.[ Crash { part = 1; seam = Record; crossing = 0 } ];
+  refused "negative stall" loopback Fault.[ Stall { part = 0; us = -5 } ];
+  refused "second freeze" loopback
+    Fault.[ Crash { part = 0; seam = Freeze; crossing = 2 } ];
+  let spawned fault =
+    Engine_dist.run_spawned ~worker_exe:"/nonexistent" ~spec:"fig2" ~workers:2
+      ~fault (Sudoku.Networks.fig2 ()) []
+  in
+  refused "stall on a worker process" spawned Fault.[ Stall { part = 0; us = 1 } ];
+  refused "two crashes for one worker process" spawned
+    Fault.
+      [
+        Crash { part = 0; seam = Record; crossing = 1 };
+        Crash { part = 0; seam = Flush; crossing = 2 };
+      ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1700,4 +1748,5 @@ let suite =
     Alcotest.test_case "migrate refusals" `Quick test_migrate_refusals;
     Alcotest.test_case "migrate freeze death -> crash recovery" `Quick
       test_migrate_freeze_death_recovers;
+    Alcotest.test_case "fault plan refusals" `Quick test_fault_plan_refusals;
   ]

@@ -1004,7 +1004,9 @@ let test_watermark_no_duplicate_resend () =
   List.iter
     (fun after ->
       let run ?supervision () =
-        Engine_dist.run ~workers:2 ~kill_worker:(1, after) ~crash_flush:true
+        Engine_dist.run ~workers:2
+          ~fault:
+            Dist.Fault.[ Crash { part = 1; seam = Flush; crossing = after + 1 } ]
           ?supervision (Sudoku.Networks.fig2 ()) (inputs ())
       in
       (match run () with

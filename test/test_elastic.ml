@@ -154,7 +154,7 @@ let test_balancer_rebalances_skewed_run () =
         match !bal with Some b -> Balancer.stop b | None -> ())
       (fun () ->
         Engine_dist.run ~workers:4 ~plan ~collector:col
-          ~worker_throttle:(0, 4000)
+          ~fault:Dist.Fault.[ Stall { part = 0; us = 4000 } ]
           ~on_handle:(fun h ->
             bal :=
               Some
@@ -230,8 +230,12 @@ let run_schedule ~reference ~net ~plan ~target ~delay ~mode inputs =
     Engine_dist.run
       ~workers:(Plan.parts plan)
       ~plan
-      ~worker_throttle:(0, 250)
-      ?kill_in_freeze:(if mode = Kill then Some target else None)
+      ~fault:
+        Dist.Fault.(
+          Stall { part = 0; us = 250 }
+          :: (if mode = Kill then
+                [ Crash { part = target; seam = Freeze; crossing = 1 } ]
+              else []))
       ~supervision:(Snet.Supervise.make ~policy:(Snet.Supervise.Retry 2) ())
       ~on_handle:(fun h ->
         migr :=
