@@ -73,10 +73,11 @@ solves ./_build/default/bin/snet_sudoku.exe --network fig3 --file "$grid_file" \
 echo "== fault-injection smoke =="
 dune build @fault-smoke
 
-echo "== scheduler smoke =="
-# The scheduler microbenchmark at CI size: parallel_for_range and
-# parallel_for_reduce_range over 10^5 indices, with-loop generators
-# and task round-trips, on a caller-only and a 2-worker pool.
+echo "== in-process benchmark smoke =="
+# Every bench/main.exe experiment that needs no socket or daemon at CI
+# size: the paper's figures and sweeps, the kernels, the scheduler,
+# the engines' and combinators' overheads and the supervision layer
+# (faults' no-failure overhead bars: <= 10%).
 dune build @bench-smoke
 
 echo "== end-to-end benchmark smoke =="

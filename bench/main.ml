@@ -1,2334 +1,66 @@
 (* Benchmark harness regenerating every figure and quantitative claim
    of the paper (see DESIGN.md's experiment index and EXPERIMENTS.md
-   for recorded results):
-
-     baseline      Section 3's "solves 9x9 sudokus in far less than a
-                   second" claim, per corpus puzzle. Emits
-                   BENCH_kernels.json (with dataparallel's rows when
-                   both run in one process).
-     fig1/2/3      The three networks of Section 5: timing on both
-                   engines plus the unfolding topology (pipeline depth,
-                   split replicas, box instances) against the paper's
-                   bounds 81, 9 per stage / 729 total, and the throttle.
-     fig3-sweep    Fig. 3's control parameters: throttle width and
-                   star cutoff.
-     dataparallel  Section 3's claim that addNumber/findMinTrues
-                   parallelise for free: with-loop kernels across board
-                   sizes and domain counts. Emits BENCH_kernels.json.
-     scheduler     The data-parallel substrate itself: the
-                   work-stealing pool's range operations across domain
-                   counts, with-loop unit-step vs strided generators,
-                   task round-trips, steal/park counters. Emits
-                   BENCH_scheduler.json (set BENCH_SMOKE=1 for a tiny
-                   CI-sized run).
-     scaling       Hybrid networks across domain counts.
-     combinators   Per-record overhead of each S-Net combinator on both
-                   engines.
-     interpreted   Mini-SaC source boxes vs native OCaml boxes.
-     engines       The same network on the sequential and actor
-                   engines.
-     ablation      Actor batch size and determinism overhead on a
-                   real workload.
-     propagation   Constraint deduction vs pure search inside Fig. 1.
-     faults        Supervision layer: error-record overhead on the
-                   no-failure path (acceptance: <= 10%) and throughput
-                   of a flaky pipeline under error-record and retry on
-                   both engines. Emits BENCH_faults.json.
-     obsv          Observability layer: fig2/medium with the event
-                   sink / metrics on vs off (paired, interleaved
-                   rounds), disabled-probe cost, a 2-worker loopback
-                   solve with cluster shipping on vs off, and
-                   validation of the exported and merged Chrome traces
-                   through the exporter's own reader (acceptance:
-                   <= 2% overhead with tracing off AND with shipping
-                   on). Emits BENCH_obsv.json.
-     dist          Distribution layer: wire codec throughput on a real
-                   mid-pipeline sudoku record, cut-edge round-trip over
-                   an in-process channel vs the loopback transport vs
-                   TCP (acceptance: loopback adds <= 50us/record over
-                   the bare channel), and fig2 end-to-end on the
-                   partitioned engine. Emits BENCH_dist.json.
-     serve         Serving layer: the snet_serve daemon under 32
-                   concurrent TCP sessions (round-trip latency
-                   percentiles, acceptance: p99 <= 100ms) plus a
-                   SIGTERM graceful-drain check with sessions held
-                   open. Emits BENCH_serve.json.
-     elastic       Elasticity layer: the sharded reference net with a
-                   throttled hot partition, run skewed vs with the
-                   health-driven balancer attached (acceptance: at
-                   least one live migration fires and per-migration
-                   downtime stays <= 2s; both runs multiset-identical
-                   to the sequential engine). Emits BENCH_elastic.json.
+   for recorded results). Each experiment is one module (exp_*.ml)
+   built on the measurement core (bench_core.ml); this file is only
+   the dispatch table.
 
    Run all:        dune exec bench/main.exe
-   Run one:        dune exec bench/main.exe -- fig3-sweep *)
-
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel plumbing                                                   *)
-
-let run_tests ?(quota = 0.5) tests =
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  Analyze.all ols Instance.monotonic_clock raw
-
-let pretty_ns ns =
-  if ns >= 1e9 then Printf.sprintf "%8.3f s " (ns /. 1e9)
-  else if ns >= 1e6 then Printf.sprintf "%8.3f ms" (ns /. 1e6)
-  else if ns >= 1e3 then Printf.sprintf "%8.3f us" (ns /. 1e3)
-  else Printf.sprintf "%8.1f ns" ns
-
-let result_rows results =
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> e
-          | _ -> nan
-        in
-        (name, est) :: acc)
-      results []
-  in
-  List.sort compare rows
-
-let print_results title results =
-  Printf.printf "\n-- %s %s\n" title
-    (String.make (max 1 (66 - String.length title)) '-');
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-44s %s/run\n" name (pretty_ns est))
-    (result_rows results);
-  flush stdout
-
-let bench title ?quota tests =
-  print_results title (run_tests ?quota (Test.make_grouped ~name:"" tests))
-
-(* Like [bench], but also returns the (name, ns/run) rows so the caller
-   can persist them (BENCH_*.json). *)
-let bench_collect title ?quota tests =
-  let results = run_tests ?quota (Test.make_grouped ~name:"" tests) in
-  print_results title results;
-  result_rows results
-
-(* ------------------------------------------------------------------ *)
-(* Shared fixtures                                                     *)
-
-let conc_pool = lazy (Scheduler.Pool.create ~num_domains:2 ())
-
-let board_of name = (Sudoku.Puzzles.find name).Sudoku.Puzzles.board
-
-let net_of = function
-  | "fig1" -> Sudoku.Networks.fig1 ()
-  | "fig2" -> Sudoku.Networks.fig2 ()
-  | "fig3" -> Sudoku.Networks.fig3 ()
-  | other -> invalid_arg other
-
-let run_network_seq net board =
-  Snet.Engine_seq.run net [ Sudoku.Boxes.inject_board board ]
-
-let run_network_conc net board =
-  Snet.Engine_conc.run ~pool:(Lazy.force conc_pool) net
-    [ Sudoku.Boxes.inject_board board ]
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_*.json emission                                              *)
-
-(* Every BENCH_*.json goes through Obsv.Jsonx: build the document as a
-   value, write it, and parse it back before trusting the artifact
-   (Jsonx.write_file does the read-back). NaN estimates degrade to -1,
-   the long-standing "no measurement" marker in these files. *)
-let jnum x = Obsv.Jsonx.Num (if Float.is_nan x then -1.0 else x)
-let jint n = Obsv.Jsonx.Num (float_of_int n)
-
-let jrows rows =
-  Obsv.Jsonx.List
-    (List.map
-       (fun (name, ns) ->
-         Obsv.Jsonx.Obj
-           [ ("name", Obsv.Jsonx.Str name); ("ns_per_run", jnum ns) ])
-       rows)
-
-let write_bench_json path doc rows =
-  match Obsv.Jsonx.write_file ~path doc with
-  | Ok () -> Printf.printf "  wrote %s (%d results)\n" path (List.length rows)
-  | Error e ->
-      Printf.eprintf "bench: %s\n" e;
-      exit 1
-
-(* ------------------------------------------------------------------ *)
-(* baseline: Section 3's sub-second claim                              *)
-
-(* baseline and dataparallel persist their rows together in
-   BENCH_kernels.json: running either rewrites the file with every
-   kernel row collected so far in this process. Neither has a smoke
-   mode. *)
-let kernel_rows = ref []
-
-let collect_kernels title ?quota tests =
-  kernel_rows := !kernel_rows @ bench_collect title ?quota tests
-
-let write_kernels_json () =
-  let rows = !kernel_rows in
-  write_bench_json "BENCH_kernels.json"
-    (Obsv.Jsonx.Obj
-       [
-         ("bench", Obsv.Jsonx.Str "kernels");
-         ("host_recommended_domains", jint (Domain.recommended_domain_count ()));
-         ("smoke", Obsv.Jsonx.Bool false);
-         ("results", jrows rows);
-       ])
-    rows
-
-let exp_baseline () =
-  Printf.printf "\n== baseline: pure-SaC sequential solver (Section 3) ==\n";
-  collect_kernels "solver, min-options heuristic"
-    (List.map
-       (fun e ->
-         let board = e.Sudoku.Puzzles.board in
-         Test.make ~name:("solve/" ^ e.Sudoku.Puzzles.name)
-           (Staged.stage (fun () -> Sudoku.Solver.solve board)))
-       Sudoku.Puzzles.all);
-  collect_kernels "solver, 16x16 board"
-    [
-      Test.make ~name:"solve/16x16-60holes"
-        (Staged.stage (fun () -> Sudoku.Solver.solve Sudoku.Puzzles.sixteen));
-    ];
-  (* The findFirst-vs-findMinTrues refinement the paper motivates. *)
-  let medium = board_of "medium" in
-  collect_kernels "heuristic refinement (findFirst vs findMinTrues)"
-    [
-      Test.make ~name:"solve/medium/findFirst"
-        (Staged.stage (fun () ->
-             Sudoku.Solver.solve ~choice:Sudoku.Heuristics.Find_first medium));
-      Test.make ~name:"solve/medium/findMinTrues"
-        (Staged.stage (fun () ->
-             Sudoku.Solver.solve ~choice:Sudoku.Heuristics.Min_trues medium));
-    ];
-  (* The kernel call interpreted times against its mini-SaC twin, here
-     in a process with no extra domains: dataparallel's pools make
-     every minor collection a stop-the-world across their domains. *)
-  let board = Sudoku.Board.empty 3 and opts = Sudoku.Rules.all_options 9 in
-  collect_kernels "one addNumber on a 9x9 board"
-    [
-      Test.make ~name:"addNumber/n=3/seq"
-        (Staged.stage (fun () ->
-             Sudoku.Rules.add_number ~i:4 ~j:5 ~k:7 board opts));
-    ];
-  Printf.printf
-    "\n  paper claim: 9x9 boards solve 'in far less than a second'.\n";
-  write_kernels_json ()
-
-(* ------------------------------------------------------------------ *)
-(* figs 1-3: timing and topology                                       *)
-
-let topology_row name net board =
-  let stats = Snet.Stats.create () in
-  let out =
-    Snet.Engine_seq.run ~stats net [ Sudoku.Boxes.inject_board board ]
-  in
-  let solutions = List.length (Sudoku.Networks.solved_boards out) in
-  let s = Snet.Stats.snapshot stats in
-  Printf.printf "  %-22s %9d %8d %8d %9d %10d\n" name solutions
-    s.Snet.Stats.max_star_depth s.Snet.Stats.split_replicas
-    s.Snet.Stats.instances s.Snet.Stats.box_invocations
-
-let exp_fig ~figure () =
-  Printf.printf "\n== %s: network of Section 5 ==\n" figure;
-  let puzzles = [ "easy"; "medium"; "gen-hard-55" ] in
-  bench (figure ^ " timing, sequential engine")
-    (List.map
-       (fun p ->
-         let board = board_of p and net = net_of figure in
-         Test.make ~name:(figure ^ "/seq/" ^ p)
-           (Staged.stage (fun () -> run_network_seq net board)))
-       puzzles);
-  bench (figure ^ " timing, concurrent engine") ~quota:1.0
-    (List.map
-       (fun p ->
-         let board = board_of p and net = net_of figure in
-         Test.make ~name:(figure ^ "/conc/" ^ p)
-           (Staged.stage (fun () -> run_network_conc net board)))
-       [ "easy"; "medium" ]);
-  Printf.printf
-    "\n  topology (paper bounds: depth <= 81; fig2 <= 9 replicas/stage, <= 729 boxes; fig3 <= throttle/stage)\n";
-  Printf.printf "  %-22s %9s %8s %8s %9s %10s\n" "puzzle" "solutions" "depth"
-    "splits" "instances" "box-invocs";
-  List.iter (fun p -> topology_row p (net_of figure) (board_of p)) puzzles;
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* fig3 parameter sweep                                                *)
-
-let exp_fig3_sweep () =
-  Printf.printf "\n== fig3-sweep: throttle width and star cutoff (Section 5) ==\n";
-  let board = board_of "medium" in
-  bench "throttle sweep (cutoff 40)"
-    (List.map
-       (fun w ->
-         let net = Sudoku.Networks.fig3 ~throttle:w () in
-         Test.make ~name:(Printf.sprintf "fig3/throttle=%d" w)
-           (Staged.stage (fun () -> run_network_seq net board)))
-       [ 1; 2; 4; 8 ]);
-  bench "cutoff sweep (throttle 4)"
-    (List.map
-       (fun c ->
-         let net = Sudoku.Networks.fig3 ~cutoff:c () in
-         Test.make ~name:(Printf.sprintf "fig3/cutoff=%d" c)
-           (Staged.stage (fun () -> run_network_seq net board)))
-       [ 0; 20; 40; 60; 80 ]);
-  Printf.printf "\n  unfolding under the sweep:\n";
-  Printf.printf "  %-22s %9s %8s %8s %9s %10s\n" "config" "solutions" "depth"
-    "splits" "instances" "box-invocs";
-  List.iter
-    (fun w ->
-      topology_row
-        (Printf.sprintf "throttle=%d cutoff=40" w)
-        (Sudoku.Networks.fig3 ~throttle:w ())
-        board)
-    [ 1; 2; 4; 8 ];
-  List.iter
-    (fun c ->
-      topology_row
-        (Printf.sprintf "throttle=4 cutoff=%d" c)
-        (Sudoku.Networks.fig3 ~cutoff:c ())
-        board)
-    [ 0; 20; 40; 60; 80 ];
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* dataparallel: with-loop kernels across sizes and domains            *)
-
-let exp_dataparallel () =
-  Printf.printf
-    "\n== dataparallel: with-loop kernels (Section 3's 'for free' claim) ==\n";
-  let pools =
-    ("seq", None)
-    :: List.map
-         (fun d ->
-           ( Printf.sprintf "%dd" d,
-             Some (Scheduler.Pool.create ~num_domains:d ()) ))
-         [ 1; 2; 4 ]
-  in
-  let boards =
-    List.map
-      (fun n -> (n, Sudoku.Generate.puzzle ~seed:11 ~n ~holes:(8 * n * n) ()))
-      [ 3; 4; 5 ]
-  in
-  collect_kernels "computeOpts (init_options) across board sizes and domains"
-    ~quota:1.0
-    (List.concat_map
-       (fun (n, board) ->
-         List.map
-           (fun (pname, pool) ->
-             Test.make
-               ~name:(Printf.sprintf "initOptions/n=%d/%s" n pname)
-               (Staged.stage (fun () -> Sudoku.Rules.init_options ?pool board)))
-           pools)
-       boards);
-  collect_kernels "single addNumber on a 25x25 board"
-    (let board = Sudoku.Board.empty 5 in
-     let opts = Sudoku.Rules.all_options 25 in
-     List.map
-       (fun (pname, pool) ->
-         Test.make ~name:("addNumber/n=5/" ^ pname)
-           (Staged.stage (fun () ->
-                Sudoku.Rules.add_number ?pool ~i:12 ~j:12 ~k:7 board opts)))
-       pools);
-  collect_kernels "raw with-loop genarray 512x512" ~quota:1.0
-    (List.map
-       (fun (pname, pool) ->
-         Test.make ~name:("genarray/512x512/" ^ pname)
-           (Staged.stage (fun () ->
-                Sacarray.With_loop.genarray_init ?pool ~shape:[| 512; 512 |]
-                  (fun iv -> iv.(0) * iv.(1) land 1023))))
-       pools);
-  collect_kernels "raw fold with-loop over 1M elements" ~quota:1.0
-    (List.map
-       (fun (pname, pool) ->
-         Test.make ~name:("fold/1M/" ^ pname)
-           (Staged.stage (fun () ->
-                Sacarray.With_loop.fold ?pool ~neutral:0 ~combine:( + )
-                  [
-                    ( Sacarray.With_loop.range [| 0 |] [| 1_000_000 |],
-                      fun iv -> iv.(0) land 7 );
-                  ])))
-       pools);
-  List.iter (fun (_, p) -> Option.iter Scheduler.Pool.shutdown p) pools;
-  write_kernels_json ()
-
-(* ------------------------------------------------------------------ *)
-(* scheduler: the work-stealing pool's data-parallel operations        *)
-
-(* Per-index bodies on the range API, with the element loop the
-   removed per-index wrappers ran, so the pfor/reduce rows stay
-   comparable with their earlier measurements. *)
-let each_index body ~lo ~hi =
-  for i = lo to hi - 1 do
-    body i
-  done
-
-let fold_indices ~combine ~init body ~lo ~hi =
-  let acc = ref init in
-  for i = lo to hi - 1 do
-    acc := combine !acc (body i)
-  done;
-  !acc
-
-let exp_scheduler () =
-  Printf.printf "\n== scheduler: work-stealing pool ==\n";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
-  let quota = if smoke then 0.05 else 1.0 in
-  (* The tentpole kernel: a 10^6-element with-loop-shaped range loop. *)
-  let n = if smoke then 100_000 else 1_000_000 in
-  let side = if smoke then 320 else 1000 in
-  let domain_counts = if smoke then [ 0; 2 ] else [ 0; 1; 2; 4 ] in
-  let rows = ref [] in
-  let collect title tests = rows := !rows @ bench_collect title ~quota tests in
-  let pools =
-    List.map (fun d -> (d, Scheduler.Pool.create ~num_domains:d ()))
-      domain_counts
-  in
-  let out = Array.make n 0 in
-  let body i = out.(i) <- (i * 31) land 1023 in
-  collect
-    (Printf.sprintf "parallel_for_range over %d indices (with-loop body)" n)
-    (List.map
-       (fun (d, wp) ->
-         Test.make ~name:(Printf.sprintf "pfor/%de/steal/domains=%d" n d)
-           (Staged.stage (fun () ->
-                Scheduler.Pool.parallel_for_range wp ~lo:0 ~hi:n
-                  (each_index body))))
-       pools);
-  collect
-    (Printf.sprintf "parallel_for_reduce_range over %d indices" n)
-    (List.map
-       (fun (d, wp) ->
-         Test.make ~name:(Printf.sprintf "reduce/%de/steal/domains=%d" n d)
-           (Staged.stage (fun () ->
-                Scheduler.Pool.parallel_for_reduce_range wp ~lo:0 ~hi:n
-                  ~combine:( + ) ~init:0
-                  (fold_indices ~combine:( + ) ~init:0 (fun i -> i land 7)))))
-       pools);
-  (* With-loop unit-step vs step-2 generator over the same number of
-     points, on the new pool; both run on the one stride odometer. *)
-  let wl_body iv = (iv.(0) * 31) + iv.(1) land 1023 in
-  collect
-    (Printf.sprintf "with-loop genarray %dx%d: unit-step vs strided"
-       side side)
-    (List.concat_map
-       (fun (d, wp) ->
-         [
-           Test.make ~name:(Printf.sprintf "wl/dense/domains=%d" d)
-             (Staged.stage (fun () ->
-                  Sacarray.With_loop.genarray_init ~pool:wp
-                    ~shape:[| side; side |] wl_body));
-           Test.make ~name:(Printf.sprintf "wl/strided/domains=%d" d)
-             (Staged.stage (fun () ->
-                  Sacarray.With_loop.genarray ~pool:wp
-                    ~shape:[| side; 2 * side |] ~default:0
-                    [
-                      ( Sacarray.With_loop.range ~step:[| 1; 2 |] [| 0; 0 |]
-                          [| side; 2 * side |],
-                        wl_body );
-                    ]));
-         ])
-       pools);
-  (* Task submission/latency: one run() round trip. *)
-  collect "task round-trip (run of a trivial thunk)"
-    (List.map
-       (fun (d, wp) ->
-         Test.make ~name:(Printf.sprintf "run/steal/domains=%d" d)
-           (Staged.stage (fun () -> Scheduler.Pool.run wp (fun () -> 0))))
-       pools);
-  (* Scheduler observability: the counters the pool now exposes. *)
-  let obs_pool = List.assoc (List.fold_left max 0 domain_counts) pools in
-  let s0 = Scheduler.Pool.stats obs_pool in
-  Printf.printf
-    "\n  pool counters after benchmarking (max-domain steal pool):\n\
-    \  tasks=%d steals=%d parks=%d splits=%d\n"
-    s0.Scheduler.Pool.tasks s0.Scheduler.Pool.steals s0.Scheduler.Pool.parks
-    s0.Scheduler.Pool.splits;
-  (* Task latency distribution: one metrics-instrumented range loop
-     on the same pool, reported as percentiles via the obsv layer. *)
-  Obsv.Metrics.enable ();
-  Scheduler.Pool.parallel_for_range obs_pool ~lo:0 ~hi:n (each_index body);
-  let task_lat =
-    List.find_map
-      (fun (c, nm, h) -> if c = "pool" && nm = "task" then Some h else None)
-      (Obsv.Metrics.snapshot ()).Obsv.Metrics.spans
-  in
-  Obsv.Metrics.disable ();
-  (match task_lat with
-  | Some h ->
-      Printf.printf
-        "  pool task latency over one pfor (%d tasks): p50=%s p95=%s p99=%s \
-         max=%s\n"
-        h.Obsv.Metrics.count
-        (pretty_ns (h.Obsv.Metrics.p50 *. 1e9))
-        (pretty_ns (h.Obsv.Metrics.p95 *. 1e9))
-        (pretty_ns (h.Obsv.Metrics.p99 *. 1e9))
-        (pretty_ns (h.Obsv.Metrics.max_s *. 1e9))
-  | None -> Printf.printf "  (no pool task spans recorded)\n");
-  List.iter (fun (_, p) -> Scheduler.Pool.shutdown p) pools;
-  (* Persist the trajectory for later PRs. *)
-  let rows = !rows in
-  write_bench_json "BENCH_scheduler.json"
-    (Obsv.Jsonx.Obj
-       ([
-          ("bench", Obsv.Jsonx.Str "scheduler");
-          ( "host_recommended_domains",
-            jint (Domain.recommended_domain_count ()) );
-          ("smoke", Obsv.Jsonx.Bool smoke);
-          ( "pool_counters",
-            Obsv.Jsonx.Obj
-              [
-                ("tasks", jint s0.Scheduler.Pool.tasks);
-                ("steals", jint s0.Scheduler.Pool.steals);
-                ("parks", jint s0.Scheduler.Pool.parks);
-                ("splits", jint s0.Scheduler.Pool.splits);
-              ] );
-        ]
-       @ (match task_lat with
-         | Some h ->
-             [
-               ( "task_latency_ns",
-                 Obsv.Jsonx.Obj
-                   [
-                     ("count", jint h.Obsv.Metrics.count);
-                     ("p50", jnum (h.Obsv.Metrics.p50 *. 1e9));
-                     ("p95", jnum (h.Obsv.Metrics.p95 *. 1e9));
-                     ("p99", jnum (h.Obsv.Metrics.p99 *. 1e9));
-                   ] );
-             ]
-         | None -> [])
-       @ [ ("results", jrows rows) ]))
-    rows;
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* scaling: networks across domain counts                              *)
-
-let exp_scaling () =
-  Printf.printf
-    "\n== scaling: hybrid networks across domain counts (Section 5) ==\n";
-  let board = board_of "gen-hard-55" in
-  let pools =
-    List.map (fun d -> (d, Scheduler.Pool.create ~num_domains:d ())) [ 0; 1; 2; 4 ]
-  in
-  bench "fig2 on the concurrent engine" ~quota:2.0
-    (List.map
-       (fun (d, pool) ->
-         let net = Sudoku.Networks.fig2 () in
-         Test.make ~name:(Printf.sprintf "fig2/conc/domains=%d" d)
-           (Staged.stage (fun () ->
-                Snet.Engine_conc.run ~pool net
-                  [ Sudoku.Boxes.inject_board board ])))
-       pools);
-  bench "fig3 on the concurrent engine" ~quota:2.0
-    (List.map
-       (fun (d, pool) ->
-         let net = Sudoku.Networks.fig3 () in
-         Test.make ~name:(Printf.sprintf "fig3/conc/domains=%d" d)
-           (Staged.stage (fun () ->
-                Snet.Engine_conc.run ~pool net
-                  [ Sudoku.Boxes.inject_board board ])))
-       pools);
-  List.iter (fun (_, p) -> Scheduler.Pool.shutdown p) pools
-
-(* ------------------------------------------------------------------ *)
-(* combinators: per-record overhead                                    *)
-
-let exp_combinators () =
-  Printf.printf "\n== combinators: per-record overhead (Section 4) ==\n";
-  let module Net = Snet.Net in
-  let module Box = Snet.Box in
-  let idbox name =
-    Box.make ~name ~input:[ Box.T "x" ] ~outputs:[ [ Box.T "x" ] ]
-      (fun ~emit -> function
-        | [ Tag x ] -> emit 1 [ Tag x ]
-        | _ -> assert false)
-  in
-  let countdown =
-    Box.make ~name:"countdown" ~input:[ T "x" ]
-      ~outputs:[ [ T "x" ]; [ T "x"; T "done" ] ]
-      (fun ~emit -> function
-        | [ Tag x ] ->
-            if x <= 0 then emit 2 [ Tag 0; Tag 1 ] else emit 1 [ Tag (x - 1) ]
-        | _ -> assert false)
-  in
-  let done_p = Snet.Pattern.make ~fields:[] ~tags:[ "done" ] () in
-  let batch = 200 in
-  let inputs =
-    List.init batch (fun i -> Snet.record ~tags:[ ("x", i); ("k", i mod 8) ] ())
-  in
-  let star_inputs =
-    List.init batch (fun i -> Snet.record ~tags:[ ("x", i mod 10) ] ())
-  in
-  let nets =
-    [
-      ("box", Net.box (idbox "id"));
-      ( "chain8",
-        Net.serial_list
-          (List.init 8 (fun i -> Net.box (idbox (Printf.sprintf "id%d" i)))) );
-      ( "filter",
-        Net.filter
-          (Snet.Filter.make
-             (Snet.Pattern.make ~fields:[] ~tags:[ "x" ] ())
-             [
-               [
-                 Snet.Filter.Set_tag
-                   ("x", Snet.Pattern.Add (Snet.Pattern.Tag "x", Snet.Pattern.Const 1));
-               ];
-             ]) );
-      ("choice", Net.choice (Net.box (idbox "l")) (Net.box (idbox "r")));
-      ("choice-det", Net.choice ~det:true (Net.box (idbox "l")) (Net.box (idbox "r")));
-      ("star10", Net.star (Net.box countdown) done_p);
-      ("star10-det", Net.star ~det:true (Net.box countdown) done_p);
-      ("split8", Net.split (Net.box (idbox "s")) "k");
-      ("split8-det", Net.split ~det:true (Net.box (idbox "s")) "k");
-    ]
-  in
-  let inputs_for name =
-    if String.length name >= 4 && String.sub name 0 4 = "star" then star_inputs
-    else inputs
-  in
-  bench "sequential engine (200-record batch)"
-    (List.map
-       (fun (name, net) ->
-         let ins = inputs_for name in
-         Test.make ~name:("seq/" ^ name)
-           (Staged.stage (fun () -> Snet.Engine_seq.run net ins)))
-       nets);
-  bench "concurrent engine (200-record batch, incl. graph build)" ~quota:1.0
-    (List.map
-       (fun (name, net) ->
-         let ins = inputs_for name in
-         Test.make ~name:("conc/" ^ name)
-           (Staged.stage (fun () ->
-                Snet.Engine_conc.run ~pool:(Lazy.force conc_pool) net ins)))
-       nets);
-  Printf.printf "\n  (divide by %d for per-record cost)\n" batch
-
-(* ------------------------------------------------------------------ *)
-(* interpreted: the mini-SaC front end vs native box bodies           *)
-
-let exp_interpreted () =
-  Printf.printf
-    "\n== interpreted: mini-SaC boxes vs native OCaml boxes ==\n";
-  let sac_net =
-    Snet_lang.Elaborate.elaborate
-      (Saclang.Sac_sudoku.registry ())
-      (Snet_lang.Parser.parse_string Saclang.Sac_sudoku.fig2_snet)
-  in
-  let native_net = Sudoku.Networks.fig2 () in
-  bench "fig2 on the sequential engine, easy puzzle" ~quota:1.0
-    [
-      Test.make ~name:"fig2/native"
-        (Staged.stage (fun () ->
-             Snet.Engine_seq.run native_net
-               [ Sudoku.Boxes.inject_board Sudoku.Puzzles.easy ]));
-      Test.make ~name:"fig2/mini-SaC"
-        (Staged.stage (fun () ->
-             Snet.Engine_seq.run sac_net
-               [ Saclang.Sac_sudoku.inject_board Sudoku.Puzzles.easy ]));
-    ];
-  let prog = Saclang.Sac_sudoku.program () in
-  let v_board = Saclang.Svalue.of_int_nd (Sudoku.Board.empty 3) in
-  let v_opts =
-    Saclang.Svalue.of_bool_nd
-      (Sudoku.Board.options_nd (Sudoku.Rules.all_options 9))
-  in
-  bench "one addNumber call"
-    [
-      Test.make ~name:"addNumber/native"
-        (Staged.stage (fun () ->
-             Sudoku.Rules.add_number ~i:4 ~j:5 ~k:7 (Sudoku.Board.empty 3)
-               (Sudoku.Rules.all_options 9)));
-      Test.make ~name:"addNumber/mini-SaC"
-        (Staged.stage (fun () ->
-             Saclang.Sac_interp.call prog "addNumber"
-               [
-                 Saclang.Svalue.int 4; Saclang.Svalue.int 5;
-                 Saclang.Svalue.int 7; v_board; v_opts;
-               ]));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* engines: one workload on both execution engines                    *)
-
-let exp_engines () =
-  Printf.printf "\n== engines: the same network on both engines ==\n";
-  let board = board_of "medium" in
-  let net = Sudoku.Networks.fig2 () in
-  let inputs () = [ Sudoku.Boxes.inject_board board ] in
-  bench "fig2 on the medium puzzle" ~quota:1.5
-    [
-      Test.make ~name:"engine/seq"
-        (Staged.stage (fun () -> Snet.Engine_seq.run net (inputs ())));
-      Test.make ~name:"engine/actors"
-        (Staged.stage (fun () ->
-             Snet.Engine_conc.run ~pool:(Lazy.force conc_pool) net (inputs ())));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* ablation: engine tuning knobs called out in DESIGN.md              *)
-
-let exp_ablation () =
-  Printf.printf
-    "\n== ablation: actor batch size and determinism overhead ==\n";
-  let board = board_of "medium" in
-  let net = Sudoku.Networks.fig2 () in
-  let inputs () = [ Sudoku.Boxes.inject_board board ] in
-  bench "actor engine batch size (fig2, medium)" ~quota:1.0
-    (List.map
-       (fun b ->
-         Test.make ~name:(Printf.sprintf "actors/batch=%d" b)
-           (Staged.stage (fun () ->
-                Snet.Engine_conc.run ~pool:(Lazy.force conc_pool) ~batch:b net
-                  (inputs ()))))
-       [ 1; 8; 64; 512 ]);
-  bench "determinism overhead on the real workload" ~quota:1.0
-    [
-      Test.make ~name:"fig2/nondet"
-        (Staged.stage (fun () ->
-             Snet.Engine_conc.run ~pool:(Lazy.force conc_pool)
-               (Sudoku.Networks.fig2 ()) (inputs ())));
-      Test.make ~name:"fig2/det"
-        (Staged.stage (fun () ->
-             Snet.Engine_conc.run ~pool:(Lazy.force conc_pool)
-               (Sudoku.Networks.fig2 ~det:true ())
-               (inputs ())));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* propagation: deduction vs search (extension ablation)              *)
-
-let exp_propagation () =
-  Printf.printf
-    "\n== propagation: constraint deduction vs pure search ==\n";
-  bench "fig1 with and without the propagate box" ~quota:1.0
-    (List.concat_map
-       (fun p ->
-         let board = board_of p in
-         [
-           Test.make ~name:(Printf.sprintf "fig1/plain/%s" p)
-             (Staged.stage (fun () ->
-                  run_network_seq (Sudoku.Networks.fig1 ()) board));
-           Test.make ~name:(Printf.sprintf "fig1/propagating/%s" p)
-             (Staged.stage (fun () ->
-                  run_network_seq (Sudoku.Propagate.fig1_propagating ()) board));
-         ])
-       [ "easy"; "medium"; "escargot" ]);
-  Printf.printf "\n  search-tree size:\n";
-  Printf.printf "  %-26s %9s %8s %8s %9s %10s\n" "config" "solutions" "depth"
-    "splits" "instances" "box-invocs";
-  List.iter
-    (fun p ->
-      topology_row (p ^ " plain") (Sudoku.Networks.fig1 ()) (board_of p);
-      topology_row (p ^ " propagating")
-        (Sudoku.Propagate.fig1_propagating ())
-        (board_of p))
-    [ "easy"; "medium"; "escargot" ];
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* faults: supervision overhead and error-record failure paths         *)
-
-let exp_faults () =
-  Printf.printf "\n== faults: supervision overhead and error-record paths ==\n";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
-  let quota = if smoke then 0.05 else 1.0 in
-  let rows = ref [] in
-  let collect title tests = rows := !rows @ bench_collect title ~quota tests in
-  let record_cfg =
-    Snet.Supervise.make ~policy:Snet.Supervise.Error_record ()
-  in
-  (* (a) No-failure path: the solver network under the default
-     [Fail_fast] fast path vs the full [Error_record] machinery. The
-     acceptance bar for the supervision layer is <= 10% overhead here. *)
-  let board = board_of "medium" in
-  let net = net_of "fig2" in
-  collect "fig2/medium, no failures: fail-fast fast path vs error-record"
-    [
-      Test.make ~name:"fig2/seq/fail-fast"
-        (Staged.stage (fun () -> run_network_seq net board));
-      Test.make ~name:"fig2/seq/error-record"
-        (Staged.stage (fun () ->
-             Snet.Engine_seq.run ~supervision:record_cfg net
-               [ Sudoku.Boxes.inject_board board ]));
-      Test.make ~name:"fig2/conc/fail-fast"
-        (Staged.stage (fun () -> run_network_conc net board));
-      Test.make ~name:"fig2/conc/error-record"
-        (Staged.stage (fun () ->
-             Snet.Engine_conc.run ~pool:(Lazy.force conc_pool)
-               ~supervision:record_cfg net
-               [ Sudoku.Boxes.inject_board board ]));
-    ];
-  (* (b) Failure path: a two-box pipeline whose first box fails on
-     every 10th record, so throughput includes building error records
-     and routing them past the second box. *)
-  let flaky_net () =
-    let flaky =
-      Snet.Box.make ~name:"flaky" ~input:[ Snet.Box.T "x" ]
-        ~outputs:[ [ Snet.Box.T "x" ] ]
-        (fun ~emit -> function
-          | [ Snet.Box.Tag x ] ->
-              if x mod 10 = 0 then failwith "injected fault"
-              else emit 1 [ Snet.Box.Tag (x * 3) ]
-          | _ -> assert false)
-    in
-    let shift =
-      Snet.Box.make ~name:"shift" ~input:[ Snet.Box.T "x" ]
-        ~outputs:[ [ Snet.Box.T "x" ] ]
-        (fun ~emit -> function
-          | [ Snet.Box.Tag x ] -> emit 1 [ Snet.Box.Tag (x + 1) ]
-          | _ -> assert false)
-    in
-    Snet.Net.serial (Snet.Net.box flaky) (Snet.Net.box shift)
-  in
-  let n_inputs = if smoke then 40 else 200 in
-  let inputs =
-    List.init n_inputs (fun i ->
-        Snet.Record.of_list ~fields:[] ~tags:[ ("x", i) ])
-  in
-  let retry_cfg =
-    Snet.Supervise.make ~policy:(Snet.Supervise.Retry 2) ()
-  in
-  collect
-    (Printf.sprintf "flaky pipeline, %d records, 1-in-10 failing" n_inputs)
-    [
-      Test.make ~name:"flaky/seq/error-record"
-        (Staged.stage (fun () ->
-             Snet.Engine_seq.run ~supervision:record_cfg (flaky_net ()) inputs));
-      Test.make ~name:"flaky/seq/retry:2"
-        (Staged.stage (fun () ->
-             Snet.Engine_seq.run ~supervision:retry_cfg (flaky_net ()) inputs));
-      Test.make ~name:"flaky/conc/error-record"
-        (Staged.stage (fun () ->
-             Snet.Engine_conc.run ~pool:(Lazy.force conc_pool)
-               ~supervision:record_cfg (flaky_net ()) inputs));
-    ];
-  (* One instrumented run, for the supervision counters and per-box
-     latency percentiles (via the obsv metrics layer). *)
-  let stats = Snet.Stats.create () in
-  Obsv.Metrics.enable ();
-  let outs =
-    Snet.Engine_conc.run ~pool:(Lazy.force conc_pool) ~stats
-      ~supervision:record_cfg (flaky_net ()) inputs
-  in
-  let box_lats =
-    List.filter
-      (fun (c, _, _) -> c = "box")
-      (Obsv.Metrics.snapshot ()).Obsv.Metrics.spans
-  in
-  Obsv.Metrics.disable ();
-  let errors = List.filter Snet.Supervise.is_error outs in
-  let snap = Snet.Stats.snapshot stats in
-  List.iter
-    (fun (_, nm, h) ->
-      Printf.printf
-        "  box latency %-24s n=%-4d p50=%s p95=%s p99=%s\n" nm
-        h.Obsv.Metrics.count
-        (pretty_ns (h.Obsv.Metrics.p50 *. 1e9))
-        (pretty_ns (h.Obsv.Metrics.p95 *. 1e9))
-        (pretty_ns (h.Obsv.Metrics.p99 *. 1e9)))
-    box_lats;
-  Printf.printf
-    "\n  flaky/conc under error-record: %d outputs, %d error records\n\
-    \  box_errors=%d box_retries=%d box_timeouts=%d backpressure_stalls=%d\n"
-    (List.length outs) (List.length errors) snap.Snet.Stats.box_errors
-    snap.Snet.Stats.box_retries snap.Snet.Stats.box_timeouts
-    snap.Snet.Stats.backpressure_stalls;
-  (* Persist, including the headline overhead ratios. *)
-  let find name = List.assoc_opt name !rows in
-  let ratio eng =
-    match
-      ( find (Printf.sprintf "/fig2/%s/error-record" eng),
-        find (Printf.sprintf "/fig2/%s/fail-fast" eng) )
-    with
-    | Some sup, Some base
-      when base > 0. && (not (Float.is_nan sup)) && not (Float.is_nan base) ->
-        sup /. base
-    | _ -> nan
-  in
-  List.iter
-    (fun eng ->
-      let r = ratio eng in
-      if not (Float.is_nan r) then
-        Printf.printf "  %s error-record overhead on no-failure path: %+.1f%%\n"
-          eng ((r -. 1.) *. 100.))
-    [ "seq"; "conc" ];
-  let rows = !rows in
-  write_bench_json "BENCH_faults.json"
-    (Obsv.Jsonx.Obj
-       [
-         ("bench", Obsv.Jsonx.Str "faults");
-         ("smoke", Obsv.Jsonx.Bool smoke);
-         ( "no_failure_overhead_ratio",
-           Obsv.Jsonx.Obj
-             [ ("seq", jnum (ratio "seq")); ("conc", jnum (ratio "conc")) ] );
-         ( "flaky_run",
-           Obsv.Jsonx.Obj
-             [
-               ("outputs", jint (List.length outs));
-               ("error_records", jint (List.length errors));
-               ("box_errors", jint snap.Snet.Stats.box_errors);
-               ("box_retries", jint snap.Snet.Stats.box_retries);
-               ("backpressure_stalls", jint snap.Snet.Stats.backpressure_stalls);
-             ] );
-         ( "box_latency_ns",
-           Obsv.Jsonx.List
-             (List.map
-                (fun (_, nm, h) ->
-                  Obsv.Jsonx.Obj
-                    [
-                      ("name", Obsv.Jsonx.Str nm);
-                      ("count", jint h.Obsv.Metrics.count);
-                      ("p50", jnum (h.Obsv.Metrics.p50 *. 1e9));
-                      ("p95", jnum (h.Obsv.Metrics.p95 *. 1e9));
-                      ("p99", jnum (h.Obsv.Metrics.p99 *. 1e9));
-                    ])
-                box_lats) );
-         ("results", jrows rows);
-       ])
-    rows;
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* obsv: observability layer — overhead budget and trace validity      *)
-
-(* One interleaved A/B measurement: every round preps, collects and
-   times a block of [reps] [a]-configured runs, then the same for [b]
-   (order swapped on odd rounds). Alternating inside a single loop
-   puts slow drift — heap growth, thermal state, scheduler mood — on
-   both sides of every round, so the per-round delta isolates the
-   configuration cost; the previous back-to-back blocks measured that
-   drift as a ~28% "noise floor" that swamped the sub-0.1% overhead
-   the 2% bar polices. The [Gc.full_major] between prep and clock
-   matters: prep work (ring allocation, table clears) otherwise lands
-   as major-GC debt inside the timed block — on this workload that
-   debt alone doubles a run. Each side gets one unrecorded warm-up
-   before the rounds. *)
-let interleaved ~rounds ~reps ~prep_a ~prep_b f =
-  let time prep =
-    prep ();
-    Gc.full_major ();
-    (* Best-of-[reps]: a GC slice or an unlucky scheduling decision
-       only ever makes a rep slower, so the minimum is the cleanest
-       view of the configured cost. *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Scheduler.Clock.now () in
-      ignore (Sys.opaque_identity (f ()));
-      let d = Scheduler.Clock.now () -. t0 in
-      if d < !best then best := d
-    done;
-    !best *. 1e9
-  in
-  ignore (time prep_a : float);
-  ignore (time prep_b : float);
-  let a = Array.make rounds 0. and b = Array.make rounds 0. in
-  for i = 0 to rounds - 1 do
-    if i land 1 = 0 then begin
-      a.(i) <- time prep_a;
-      b.(i) <- time prep_b
-    end
-    else begin
-      b.(i) <- time prep_b;
-      a.(i) <- time prep_a
-    end
-  done;
-  if Sys.getenv_opt "BENCH_DEBUG" <> None then begin
-    Printf.printf "  [debug] a:";
-    Array.iter (fun v -> Printf.printf " %.2fms" (v /. 1e6)) a;
-    Printf.printf "\n  [debug] b:";
-    Array.iter (fun v -> Printf.printf " %.2fms" (v /. 1e6)) b;
-    print_newline ()
-  end;
-  (a, b)
-
-let mean a = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
-
-let median a =
-  let s = Array.copy a in
-  Array.sort compare s;
-  let n = Array.length s in
-  if n = 0 then nan
-  else if n land 1 = 1 then s.(n / 2)
-  else (s.(n / 2 - 1) +. s.(n / 2)) /. 2.
-
-(* Median of the per-round relative deltas: robust to the occasional
-   round a scheduler hiccup lands on, unlike a ratio of means. *)
-let paired_delta_ratio a b =
-  median (Array.init (Array.length a) (fun i -> (b.(i) -. a.(i)) /. a.(i)))
-
-let exp_obsv () =
-  Printf.printf
-    "\n== obsv: tracing/metrics/shipping overhead (acceptance: <= 2%%) ==\n";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
-  let quota = if smoke then 0.05 else 1.0 in
-  let rounds = if smoke then 9 else 15 in
-  let reps = if smoke then 4 else 6 in
-  let rows = ref [] in
-  let collect title tests = rows := !rows @ bench_collect title ~quota tests in
-  let board = board_of "medium" in
-  let net = net_of "fig2" in
-  let run () = run_network_conc net board in
-  let all_off () =
-    Obsv.Sink.disable ();
-    Obsv.Metrics.disable ();
-    Obsv.Sink.clear ();
-    Obsv.Metrics.clear ()
-  in
-  all_off ();
-  (* Disabled-probe primitive cost: the single load-and-branch every
-     instrumentation site pays when nothing is listening. *)
-  collect "probe primitives, observability off"
-    [
-      Test.make ~name:"probe/off/span-pair"
-        (Staged.stage (fun () ->
-             let t0 = Obsv.Probe.span_start () in
-             Obsv.Probe.span_end ~cat:"bench" ~name:"p" t0));
-      Test.make ~name:"probe/off/instant"
-        (Staged.stage (fun () ->
-             Obsv.Probe.instant ~cat:"bench" ~name:"i" ()));
-    ];
-  Obsv.Sink.enable ();
-  collect "probe primitives, event sink on"
-    [
-      Test.make ~name:"probe/on/span-pair"
-        (Staged.stage (fun () ->
-             let t0 = Obsv.Probe.span_start () in
-             Obsv.Probe.span_end ~cat:"bench" ~name:"p" t0));
-    ];
-  all_off ();
-  (* (a) Whole-run overhead, paired: interleave an observability-off
-     fig2/medium solve with an events-on (then a metrics-on) solve of
-     the same job and keep the per-round delta. *)
-  let off_e, on_e =
-    interleaved ~rounds ~reps ~prep_a:all_off
-      ~prep_b:(fun () ->
-        Obsv.Sink.clear ();
-        Obsv.Sink.enable ())
-      run
-  in
-  let events_delta = paired_delta_ratio off_e on_e in
-  let off_m, on_m =
-    interleaved ~rounds ~reps ~prep_a:all_off
-      ~prep_b:(fun () ->
-        Obsv.Metrics.clear ();
-        Obsv.Metrics.enable ())
-      run
-  in
-  let metrics_delta = paired_delta_ratio off_m on_m in
-  all_off ();
-  (* One clean traced run for the per-run probe count and the
-     validity check: the exported trace must round-trip through the
-     exporter's own reader. *)
-  Obsv.Sink.enable ();
-  ignore (run ());
-  Obsv.Sink.disable ();
-  let traced = Obsv.Sink.events () in
-  let probe_events = List.length traced + Obsv.Sink.dropped () in
-  let trace_doc = Obsv.Export.render (Obsv.Export.of_events traced) in
-  let trace_valid =
-    match Obsv.Export.validate trace_doc with
-    | Ok () -> true
-    | Error e ->
-        Printf.eprintf "obsv: exported trace failed validation: %s\n" e;
-        false
-  in
-  all_off ();
-  (* (b) Shipping, paired: a 2-worker loopback solve with metrics
-     recording on, interleaved collector-attached vs collector-less.
-     With a collector, Hello requests metrics shipping and every
-     worker sends periodic + final reports the coordinator merges
-     (plus per-partition gauge sampling); without one, the identical
-     solve records the same metrics and ships nothing. The paired
-     delta therefore isolates the SHIPPING machinery this plane adds
-     — report frames, ticker, merge — which is what the 2% bar
-     polices. The cost of the metrics instrumentation itself is
-     priced separately by the metrics-on delta above (on a run this
-     small it is dominated by the two clock reads per span, and no
-     amount of shipping engineering can remove those). *)
-  Sudoku.Netspec.register_codecs ();
-  let pool = Lazy.force conc_pool in
-  let shipping = ref false in
-  (* Six boards per run: the solve work then dwarfs the fixed
-     per-run jitter (worker thread spawn, conn setup) that otherwise
-     puts multi-percent noise on the paired delta of a ~7ms run. *)
-  let dist_inputs =
-    List.init 6 (fun _ -> Sudoku.Boxes.inject_board board)
-  in
-  let dist_run () =
-    let collector = if !shipping then Some (Obsv.Agg.create ()) else None in
-    Dist.Engine_dist.run ~workers:2 ~pool ?collector
-      (Sudoku.Networks.fig2 ())
-      dist_inputs
-  in
-  let metrics_on () =
-    Obsv.Sink.disable ();
-    Obsv.Sink.clear ();
-    Obsv.Metrics.clear ();
-    Obsv.Metrics.enable ()
-  in
-  let measure_shipping () =
-    interleaved ~rounds ~reps
-      ~prep_a:(fun () ->
-        shipping := false;
-        metrics_on ())
-      ~prep_b:(fun () ->
-        shipping := true;
-        metrics_on ())
-      dist_run
-  in
-  let ship_off, ship_on = measure_shipping () in
-  (* Even paired, best-of-reps deltas on a small host keep a ±3-4%
-     noise floor from scheduler jitter, so a single measurement over
-     the bar is weak evidence. The gate trips only when three
-     independent measurements ALL exceed it: a real regression clears
-     that easily, a noise spike almost never does. *)
-  let shipping_attempts =
-    let d0 = paired_delta_ratio ship_off ship_on in
-    let rec go acc =
-      if List.hd acc <= 0.02 || List.length acc >= 3 then List.rev acc
-      else begin
-        let o, n = measure_shipping () in
-        go (paired_delta_ratio o n :: acc)
-      end
-    in
-    go [ d0 ]
-  in
-  let shipping_delta =
-    List.fold_left Float.min infinity shipping_attempts
-  in
-  (* Context for the bar: the same solve dark (observability off, no
-     collector) vs the full cluster default (collector attached, which
-     switches on process-wide metrics via Hello). Informational — it
-     bundles the instrumentation cost priced above with the shipping
-     cost barred below. *)
-  let dark, cluster =
-    interleaved ~rounds ~reps
-      ~prep_a:(fun () ->
-        shipping := false;
-        all_off ())
-      ~prep_b:(fun () ->
-        shipping := true;
-        all_off ())
-      dist_run
-  in
-  let cluster_vs_dark_delta = paired_delta_ratio dark cluster in
-  (* Merged-trace validity, in-run: one clean shipping solve with
-     event tracing opted in, merge the workers' chunks with the
-     coordinator's local events, and require the result to survive
-     the exporter's own reader byte-for-byte ([validate] checks
-     render (read s) = s) with cut-edge flow arrows present. *)
-  all_off ();
-  Obsv.Sink.enable ();
-  Obsv.Metrics.enable ();
-  let col = Obsv.Agg.create () in
-  ignore
-    (Dist.Engine_dist.run ~workers:2 ~pool ~collector:col
-       (Sudoku.Networks.fig2 ())
-       [ Sudoku.Boxes.inject_board board ]);
-  let merged =
-    Obsv.Agg.merged_trace col ~local_events:(Obsv.Sink.events ())
-  in
-  all_off ();
-  let merged_doc = Obsv.Export.render merged in
-  let merged_valid =
-    match Obsv.Export.validate merged_doc with
-    | Ok () -> true
-    | Error e ->
-        Printf.eprintf "obsv: merged cluster trace failed validation: %s\n" e;
-        false
-  in
-  let merged_flows =
-    List.length
-      (List.filter
-         (function Obsv.Export.Flow_start _ -> true | _ -> false)
-         merged)
-  in
-  let find name = List.assoc_opt name !rows in
-  let get name = Option.value ~default:nan (find name) in
-  let pair_off = get "/probe/off/span-pair"
-  and pair_on = get "/probe/on/span-pair" in
-  let off = mean off_e in
-  (* The acceptance number: with tracing off the probes cost
-     [probe_events] disabled branches per run (a span is two events,
-     so pair-cost/2 bounds the per-event cost). *)
-  let off_overhead_est = float_of_int probe_events *. (pair_off /. 2.) /. off in
-  Printf.printf
-    "\n  probe sites hit per fig2/medium run: %d events\n\
-    \  disabled span-pair: %s  enabled span-pair: %s\n\
-    \  tracing-off overhead estimate: %.3f%% of the run (bar: <= 2%%)\n\
-    \  paired deltas over %d interleaved rounds (median per-round, \
-     best-of-%d):\n\
-    \    events-on %+.2f%%   metrics-on %+.2f%%\n\
-    \    shipping-on (reports+merge, metrics on both sides, 2-worker \
-     loopback) %+.2f%% (bar: <= 2%%, best of %d measurement(s))\n\
-    \    cluster default vs dark (collector vs no observability) %+.2f%% \
-     (informational)\n\
-    \  exported trace validates: %b\n\
-    \  merged cluster trace validates: %b (%d items, %d flow arrows)\n"
-    probe_events (pretty_ns pair_off) (pretty_ns pair_on)
-    (off_overhead_est *. 100.) rounds reps (events_delta *. 100.)
-    (metrics_delta *. 100.) (shipping_delta *. 100.)
-    (List.length shipping_attempts) (cluster_vs_dark_delta *. 100.)
-    trace_valid merged_valid (List.length merged) merged_flows;
-  let rows = !rows in
-  write_bench_json "BENCH_obsv.json"
-    (Obsv.Jsonx.Obj
-       [
-         ("bench", Obsv.Jsonx.Str "obsv");
-         ("smoke", Obsv.Jsonx.Bool smoke);
-         ("paired_rounds", jint rounds);
-         ( "fig2_medium_paired_ns",
-           Obsv.Jsonx.Obj
-             [
-               ( "events",
-                 Obsv.Jsonx.Obj
-                   [
-                     ("off", jnum (mean off_e));
-                     ("on", jnum (mean on_e));
-                     ("paired_delta_ratio", jnum events_delta);
-                   ] );
-               ( "metrics",
-                 Obsv.Jsonx.Obj
-                   [
-                     ("off", jnum (mean off_m));
-                     ("on", jnum (mean on_m));
-                     ("paired_delta_ratio", jnum metrics_delta);
-                   ] );
-             ] );
-         ( "probe_ns",
-           Obsv.Jsonx.Obj
-             [
-               ("disabled_span_pair", jnum pair_off);
-               ("enabled_span_pair", jnum pair_on);
-             ] );
-         ("probe_events_per_run", jint probe_events);
-         ("tracing_off_overhead_ratio", jnum off_overhead_est);
-         ("trace_validates", Obsv.Jsonx.Bool trace_valid);
-         ( "shipping",
-           Obsv.Jsonx.Obj
-             [
-               ("workers", jint 2);
-               ("board", Obsv.Jsonx.Str "medium");
-               ("off_ns", jnum (mean ship_off));
-               ("on_ns", jnum (mean ship_on));
-               ("paired_delta_ratio", jnum shipping_delta);
-               ( "attempt_delta_ratios",
-                 Obsv.Jsonx.List (List.map jnum shipping_attempts) );
-               ("bar_ratio", jnum 0.02);
-               ( "cluster_vs_dark",
-                 Obsv.Jsonx.Obj
-                   [
-                     ("off_ns", jnum (mean dark));
-                     ("on_ns", jnum (mean cluster));
-                     ("paired_delta_ratio", jnum cluster_vs_dark_delta);
-                   ] );
-               ("merged_trace_validates", Obsv.Jsonx.Bool merged_valid);
-               ("merged_trace_items", jint (List.length merged));
-               ("merged_trace_flows", jint merged_flows);
-             ] );
-         ("results", jrows rows);
-       ])
-    rows;
-  flush stdout;
-  if not trace_valid then exit 1;
-  if not merged_valid then exit 1;
-  if (not (Float.is_nan off_overhead_est)) && off_overhead_est > 0.02 then begin
-    Printf.eprintf
-      "obsv: tracing-off overhead estimate %.3f%% exceeds the 2%% budget\n"
-      (off_overhead_est *. 100.);
-    exit 1
-  end;
-  if (not (Float.is_nan shipping_delta)) && shipping_delta > 0.02 then begin
-    Printf.eprintf
-      "obsv: shipping-on paired overhead %+.2f%% exceeds the 2%% bar\n"
-      (shipping_delta *. 100.);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* dist: wire codec throughput and cut-edge transport overhead         *)
-
-let exp_dist () =
-  Printf.printf
-    "\n== dist: wire format and cut-edge transport overhead ==\n";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
-  let quota = if smoke then 0.05 else 1.0 in
-  let rows = ref [] in
-  let collect title tests = rows := !rows @ bench_collect title ~quota tests in
-  Sudoku.Netspec.register_codecs ();
-  (* The record that actually crosses fig2's cut edge: a board, its
-     packed options and the routing tag. *)
-  let board = board_of "medium" in
-  let opts = Sudoku.Rules.init_options board in
-  let r =
-    Snet.Record.of_list
-      ~fields:
-        [
-          ("board", Snet.Value.inject Sudoku.Boxes.board_field board);
-          ("opts", Snet.Value.inject Sudoku.Boxes.opts_field opts);
-        ]
-      ~tags:[ ("k", 1) ]
-  in
-  let frame = Dist.Wire.render r in
-  let frame_bytes = String.length frame in
-  (* What a record costs inside a 32-record Data_batch envelope, which
-     names each variant once and then carries values only: this record,
-     and dist-stream's three-tag record next to its own frame. *)
-  let envelope_bytes rs =
-    float_of_int
-      (String.length (Dist.Proto.encode (Dist.Proto.Data_batch rs)))
-    /. float_of_int (List.length rs)
-  in
-  let tag_only i =
-    Snet.Record.of_list ~fields:[]
-      ~tags:[ ("bid", i); ("dist_seq", i); ("x", i * 7919) ]
-  in
-  let tag_frame_bytes = String.length (Dist.Wire.render (tag_only 0)) in
-  let env_tag_only = envelope_bytes (List.init 32 tag_only) in
-  let env_fig2 = envelope_bytes (List.init 32 (fun _ -> r)) in
-  (* What dist-stream does to each record outside the codec: build an
-     input, add the coordinator's sequence tag, and run Networks.shard's
-     route box on a worker. Minor words per call beside the time. *)
-  let route =
-    Snet.Box.make ~name:"route" ~input:[ Snet.Box.T "x" ]
-      ~outputs:[ [ Snet.Box.T "x"; Snet.Box.T "t" ] ] (fun ~emit -> function
-      | [ Snet.Box.Tag x ] ->
-          emit 1 [ Snet.Box.Tag x; Snet.Box.Tag (((x mod 8) + 8) mod 8) ]
-      | _ -> assert false)
-  in
-  let input = Snet.Record.of_list ~fields:[] ~tags:[ ("x", 7); ("bid", 1) ] in
-  let sequenced = Snet.Record.with_tag "dist_seq" 1 input in
-  let record_ops =
-    [
-      ( "record/of_list",
-        fun () -> Snet.Record.of_list ~fields:[] ~tags:[ ("x", 7); ("bid", 1) ] );
-      ("record/with_tag", fun () -> Snet.Record.with_tag "dist_seq" 1 input);
-      ( "box/execute-route",
-        fun () ->
-          match Snet.Box.execute route sequenced with
-          | [ r ] -> r
-          | _ -> assert false );
-    ]
-  in
-  collect "record operations on dist-stream's path"
-    (List.map
-       (fun (name, f) -> Test.make ~name (Staged.stage f))
-       record_ops);
-  let words_per_call f =
-    let n = 10_000 in
-    ignore (Sys.opaque_identity (f ()));
-    let w0 = Gc.minor_words () in
-    for _ = 1 to n do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int n
-  in
-  let record_words =
-    List.map (fun (name, f) -> (name, words_per_call f)) record_ops
-  in
-  collect "wire codec on a mid-pipeline sudoku record"
-    [
-      Test.make ~name:"wire/encode"
-        (Staged.stage (fun () -> Dist.Wire.render r));
-      Test.make ~name:"wire/decode"
-        (Staged.stage (fun () -> Dist.Wire.read frame));
-    ];
-  (* Cut-edge round-trip, same record out and back over: (a) an
-     in-process channel carrying it by reference — what a shared-memory
-     engine pays, (b) the loopback transport carrying encoded frames,
-     (c) a real TCP socket. Each peer is an echo thread. *)
-  let chan_there = Streams.Channel.create ~capacity:4 () in
-  let chan_back = Streams.Channel.create ~capacity:4 () in
-  let chan_echo =
-    Thread.create
-      (fun () ->
-        let rec loop () =
-          match Streams.Channel.recv chan_there with
-          | `Msg m ->
-              Streams.Channel.send chan_back m;
-              loop ()
-          | `Closed -> ()
-        in
-        loop ())
-      ()
-  in
-  let echo conn =
-    Thread.create
-      (fun () ->
-        let rec loop () =
-          match Dist.Transport.recv conn with
-          | `Msg m -> (
-              match Dist.Transport.send conn m with
-              | () -> loop ()
-              | exception Dist.Transport.Closed_conn -> ())
-          | `Closed -> Dist.Transport.close conn
-        in
-        loop ())
-      ()
-  in
-  let lo_a, lo_b = Dist.Transport.loopback_pair () in
-  let lo_echo = echo lo_b in
-  let listener = Dist.Transport.Tcp.listen () in
-  let tcp_echo =
-    Thread.create
-      (fun () ->
-        let c =
-          Dist.Transport.erase
-            (module Dist.Transport.Tcp)
-            (Dist.Transport.Tcp.accept ~timeout_s:10.0 listener)
-        in
-        let rec loop () =
-          match Dist.Transport.recv c with
-          | `Msg m -> (
-              match Dist.Transport.send c m with
-              | () -> loop ()
-              | exception Dist.Transport.Closed_conn -> ())
-          | `Closed -> Dist.Transport.close c
-        in
-        loop ())
-      ()
-  in
-  let tcp =
-    Dist.Transport.erase
-      (module Dist.Transport.Tcp)
-      (Dist.Transport.Tcp.connect ~host:"127.0.0.1"
-         ~port:(Dist.Transport.Tcp.port listener))
-  in
-  let rt_chan () =
-    Streams.Channel.send chan_there r;
-    match Streams.Channel.recv chan_back with
-    | `Msg m -> m
-    | `Closed -> assert false
-  in
-  let rt_conn conn () =
-    Dist.Transport.send conn (Dist.Wire.render r);
-    match Dist.Transport.recv conn with
-    | `Msg m -> (
-        match Dist.Wire.read m with Ok r -> r | Error e -> failwith e)
-    | `Closed -> assert false
-  in
-  collect "cut-edge round-trip (send + echo + recv, one record)"
-    [
-      Test.make ~name:"edge/channel" (Staged.stage rt_chan);
-      Test.make ~name:"edge/loopback" (Staged.stage (rt_conn lo_a));
-      Test.make ~name:"edge/tcp" (Staged.stage (rt_conn tcp));
-    ];
-  (* Batched variants: one Data_batch envelope of k records out and
-     back (the echo peers bounce the raw envelope). Dividing by k gives
-     the amortized per-record cost the cut-edge pumps pay under load;
-     k=1 keeps the envelope-framing floor visible next to the plain
-     Data rows above. *)
-  let wctx = Dist.Wire.ctx () in
-  let rt_batched conn k =
-    let m = Dist.Proto.Data_batch (List.init k (fun _ -> r)) in
-    fun () ->
-      Dist.Transport.send conn (Dist.Proto.encode ~ctx:wctx m);
-      match Dist.Transport.recv conn with
-      | `Msg s -> (
-          match Dist.Proto.decode ~ctx:wctx s with
-          | Ok _ -> ()
-          | Error e -> failwith e)
-      | `Closed -> assert false
-  in
-  collect "batched cut-edge round-trip (one Data_batch envelope of k records)"
-    [
-      Test.make ~name:"edge/loopback-batched-b1"
-        (Staged.stage (rt_batched lo_a 1));
-      Test.make ~name:"edge/loopback-batched-b8"
-        (Staged.stage (rt_batched lo_a 8));
-      Test.make ~name:"edge/loopback-batched-b64"
-        (Staged.stage (rt_batched lo_a 64));
-      Test.make ~name:"edge/tcp-batched-b1" (Staged.stage (rt_batched tcp 1));
-      Test.make ~name:"edge/tcp-batched-b8" (Staged.stage (rt_batched tcp 8));
-      Test.make ~name:"edge/tcp-batched-b64" (Staged.stage (rt_batched tcp 64));
-    ];
-  (* End-to-end: the partitioned engine (loopback workers) against the
-     sequential reference on the same job. *)
-  let easy = board_of "easy" in
-  collect "fig2/easy end-to-end"
-    [
-      Test.make ~name:"fig2/seq"
-        (Staged.stage (fun () ->
-             run_network_seq (Sudoku.Networks.fig2 ()) easy));
-      Test.make ~name:"fig2/dist-loopback-2w"
-        (Staged.stage (fun () ->
-             Dist.Engine_dist.run ~workers:2 ~pool:(Lazy.force conc_pool)
-               (Sudoku.Networks.fig2 ())
-               [ Sudoku.Boxes.inject_board easy ]));
-    ];
-  Streams.Channel.close chan_there;
-  Streams.Channel.close chan_back;
-  Thread.join chan_echo;
-  Dist.Transport.close lo_a;
-  Thread.join lo_echo;
-  Dist.Transport.close tcp;
-  Thread.join tcp_echo;
-  Dist.Transport.Tcp.close_listener listener;
-  let find name = Option.value ~default:nan (List.assoc_opt name !rows) in
-  let encode_ns = find "/wire/encode" and decode_ns = find "/wire/decode" in
-  let chan_ns = find "/edge/channel"
-  and lo_ns = find "/edge/loopback"
-  and tcp_ns = find "/edge/tcp" in
-  let lob k = find (Printf.sprintf "/edge/loopback-batched-b%d" k) in
-  let tcb k = find (Printf.sprintf "/edge/tcp-batched-b%d" k) in
-  (* MB/s through the codec: bytes per ns times 1000. *)
-  let mbps ns = float_of_int frame_bytes /. ns *. 1000. in
-  let overhead_ns = lo_ns -. chan_ns in
-  (* Acceptance bars: the unbatched loopback round-trip (one encode,
-     two framed hops, one decode) may cost at most 50us more than the
-     bare in-process channel round-trip — and with batching the
-     amortized overhead per record must drop under 5us on some
-     transport at some batch size >= 8 (on a single-core box the
-     loopback thread ping-pong dominates its rows with scheduling
-     noise, so the bar takes the best of loopback and tcp rather than
-     wiring the ratchet to the noisier harness transport). *)
-  let bar_ns = 50_000. in
-  let batched_bar_ns = 5_000. in
-  let amort v k = (v -. chan_ns) /. float_of_int k in
-  let lo_amort8 = amort (lob 8) 8 and lo_amort64 = amort (lob 64) 64 in
-  let tcp_amort8 = amort (tcb 8) 8 and tcp_amort64 = amort (tcb 64) 64 in
-  let nan_min a b =
-    if Float.is_nan a then b else if Float.is_nan b then a else Float.min a b
-  in
-  let batched_amort_ns =
-    nan_min (nan_min lo_amort8 lo_amort64) (nan_min tcp_amort8 tcp_amort64)
-  in
-  let seq_ns = find "/fig2/seq" and dist_ns = find "/fig2/dist-loopback-2w" in
-  let speedup = seq_ns /. dist_ns in
-  Printf.printf
-    "\n  frame size for a 9x9 board+opts record: %d bytes\n\
-    \  encode: %s (%.0f MB/s)   decode: %s (%.0f MB/s)\n\
-    \  edge round-trip: channel %s | loopback %s | tcp %s\n\
-    \  batched envelope rt: loopback b1 %s b8 %s b64 %s | tcp b1 %s b8 %s b64 \
-     %s\n\
-    \  loopback overhead vs channel: %s/record (bar: <= %s)\n\
-    \  amortized batched overhead: loopback b8 %s b64 %s | tcp b8 %s b64 %s \
-     per record (bar: <= %s at best)\n\
-    \  fig2 speedup dist-loopback-2w / seq: %.2fx\n\
-    \  envelope bytes per record (b32): board+opts %.1f (frame %d) | \
-     three tags %.1f (frame %d)\n\
-    \  minor words per call: %s\n"
-    frame_bytes (pretty_ns encode_ns) (mbps encode_ns) (pretty_ns decode_ns)
-    (mbps decode_ns) (pretty_ns chan_ns) (pretty_ns lo_ns) (pretty_ns tcp_ns)
-    (pretty_ns (lob 1)) (pretty_ns (lob 8)) (pretty_ns (lob 64))
-    (pretty_ns (tcb 1)) (pretty_ns (tcb 8)) (pretty_ns (tcb 64))
-    (pretty_ns overhead_ns) (pretty_ns bar_ns) (pretty_ns lo_amort8)
-    (pretty_ns lo_amort64) (pretty_ns tcp_amort8) (pretty_ns tcp_amort64)
-    (pretty_ns batched_bar_ns) speedup env_fig2 frame_bytes env_tag_only
-    tag_frame_bytes
-    (String.concat " | "
-       (List.map (fun (n, w) -> Printf.sprintf "%s %.1f" n w) record_words));
-  if (not (Float.is_nan speedup)) && speedup < 1.0 then
-    Printf.printf
-      "  WARNING: distributed fig2 is %.2fx the sequential engine (< 1.0): \
-       the cut-edge codec cost still dominates this small problem\n"
-      speedup;
-  let rows = !rows in
-  write_bench_json "BENCH_dist.json"
-    (Obsv.Jsonx.Obj
-       [
-         ("bench", Obsv.Jsonx.Str "dist");
-         ("smoke", Obsv.Jsonx.Bool smoke);
-         ("frame_bytes", jint frame_bytes);
-         ( "envelope_bytes_per_record",
-           Obsv.Jsonx.Obj
-             [
-               ("board_opts_b32", jnum env_fig2);
-               ("three_tags_b32", jnum env_tag_only);
-               ("three_tags_frame", jint tag_frame_bytes);
-             ] );
-         ( "wire_ns",
-           Obsv.Jsonx.Obj
-             [ ("encode", jnum encode_ns); ("decode", jnum decode_ns) ] );
-         ( "edge_roundtrip_ns",
-           Obsv.Jsonx.Obj
-             [
-               ("channel", jnum chan_ns);
-               ("loopback", jnum lo_ns);
-               ("tcp", jnum tcp_ns);
-             ] );
-         ( "edge_batched_roundtrip_ns",
-           Obsv.Jsonx.Obj
-             [
-               ( "loopback",
-                 Obsv.Jsonx.Obj
-                   [
-                     ("b1", jnum (lob 1));
-                     ("b8", jnum (lob 8));
-                     ("b64", jnum (lob 64));
-                   ] );
-               ( "tcp",
-                 Obsv.Jsonx.Obj
-                   [
-                     ("b1", jnum (tcb 1));
-                     ("b8", jnum (tcb 8));
-                     ("b64", jnum (tcb 64));
-                   ] );
-             ] );
-         ("loopback_overhead_ns_per_record", jnum overhead_ns);
-         ("loopback_overhead_bar_ns", jnum bar_ns);
-         ( "loopback_batched_amortized_ns_per_record",
-           Obsv.Jsonx.Obj
-             [ ("b8", jnum lo_amort8); ("b64", jnum lo_amort64) ] );
-         ( "tcp_batched_amortized_ns_per_record",
-           Obsv.Jsonx.Obj
-             [ ("b8", jnum tcp_amort8); ("b64", jnum tcp_amort64) ] );
-         ("batched_amortized_best_ns_per_record", jnum batched_amort_ns);
-         ("batched_amortized_bar_ns", jnum batched_bar_ns);
-         ("fig2_speedup_dist_over_seq", jnum speedup);
-         ( "record_ops",
-           Obsv.Jsonx.Obj
-             (List.map
-                (fun (name, words) ->
-                  ( name,
-                    Obsv.Jsonx.Obj
-                      [
-                        ("ns", jnum (find ("/" ^ name)));
-                        ("minor_words", jnum words);
-                      ] ))
-                record_words) );
-         ("results", jrows rows);
-       ])
-    rows;
-  flush stdout;
-  if (not (Float.is_nan overhead_ns)) && overhead_ns > bar_ns then begin
-    Printf.eprintf
-      "dist: loopback cut-edge overhead %s/record exceeds the %s bar\n"
-      (pretty_ns overhead_ns) (pretty_ns bar_ns);
-    exit 1
-  end;
-  if (not (Float.is_nan batched_amort_ns)) && batched_amort_ns > batched_bar_ns
-  then begin
-    Printf.eprintf
-      "dist: amortized batched cut-edge overhead %s/record exceeds the %s bar\n"
-      (pretty_ns batched_amort_ns) (pretty_ns batched_bar_ns);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* serve: the snet_serve daemon under concurrent session load         *)
-
-(* Spawns the real daemon binary (ephemeral ports), drives 32
-   concurrent framed-TCP ping-pong sessions through the ping net,
-   then SIGTERMs the daemon with a handful of sessions still open and
-   requires a clean drain: each open client sees [Done] rather than a
-   dropped socket, the process exits 0 and prints its drained stats
-   line. Round-trip latency is reported as percentiles; the p99 bar
-   and any session error fail the run. *)
-
-let find_serve_exe () =
-  match Sys.getenv_opt "SNET_SERVE_EXE" with
-  | Some p -> Some p
-  | None ->
-      let dir = Filename.dirname Sys.executable_name in
-      List.find_opt Sys.file_exists
-        (List.map (Filename.concat dir)
-           [
-             Filename.concat ".." (Filename.concat "bin" "snet_serve.exe");
-             "snet_serve.exe";
-             "snet-serve";
-           ])
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then Float.nan
-  else
-    let rank = int_of_float ((float_of_int (n - 1) *. p /. 100.0) +. 0.5) in
-    sorted.(max 0 (min (n - 1) rank))
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let exp_serve () =
-  Printf.printf "\n== serve: snet_serve daemon under concurrent sessions ==\n";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
-  let sessions = 32 in
-  let per = if smoke then 25 else 250 in
-  let drain_clients = 4 in
-  let bar_ns = 1e8 (* 100 ms: catches stalls, not scheduling jitter *) in
-  let exe =
-    match find_serve_exe () with
-    | Some e -> e
-    | None ->
-        Printf.eprintf
-          "serve: cannot find snet_serve.exe next to bench/main.exe; set \
-           SNET_SERVE_EXE\n";
-        exit 1
-  in
-  (* Daemon stdout on a pipe: the banner carries the ephemeral ports,
-     and the pipe must stay drained so the drained stats line can
-     never block the daemon at exit. *)
-  let out_r, out_w = Unix.pipe () in
-  let pid =
-    Unix.create_process exe
-      [|
-        exe; "--spec"; "ping"; "--port"; "0"; "--http-port"; "0"; "--credits";
-        "16"; "--max-sessions"; "64";
-      |]
-      Unix.stdin out_w Unix.stderr
-  in
-  Unix.close out_w;
-  let ic = Unix.in_channel_of_descr out_r in
-  let banner = input_line ic in
-  let tcp_port =
-    Scanf.sscanf banner "snet_serve: listening tcp=%d http=%d" (fun t _ -> t)
-  in
-  let daemon_lines = ref [] in
-  let lines_mu = Mutex.create () in
-  let pump =
-    Thread.create
-      (fun () ->
-        try
-          while true do
-            let l = input_line ic in
-            Mutex.lock lines_mu;
-            daemon_lines := l :: !daemon_lines;
-            Mutex.unlock lines_mu
-          done
-        with End_of_file | Sys_error _ -> ())
-      ()
-  in
-  let dial () =
-    Dist.Transport.erase
-      (module Dist.Transport.Tcp)
-      (Dist.Transport.Tcp.connect ~host:"127.0.0.1" ~port:tcp_port)
-  in
-  let errors = ref [] in
-  let err_mu = Mutex.create () in
-  let push_err fmt =
-    Printf.ksprintf
-      (fun s ->
-        Mutex.lock err_mu;
-        errors := s :: !errors;
-        Mutex.unlock err_mu)
-      fmt
-  in
-  let ping x = Snet.Record.with_tag "x" x Snet.Record.empty in
-  let lat = Array.make_matrix sessions per Float.nan in
-  let t_start = Unix.gettimeofday () in
-  let drivers =
-    List.init sessions (fun k ->
-        Thread.create
-          (fun () ->
-            try
-              match Serve.Client.connect (dial ()) with
-              | Error e -> push_err "session %d: connect: %s" k e
-              | Ok c ->
-                  for i = 0 to per - 1 do
-                    let x = (1_000_000 * k) + i in
-                    let t0 = Unix.gettimeofday () in
-                    (match Serve.Client.submit c (ping x) with
-                    | `Ok -> ()
-                    | _ -> failwith "submit rejected");
-                    match Serve.Client.recv c with
-                    | `Record r ->
-                        lat.(k).(i) <- (Unix.gettimeofday () -. t0) *. 1e9;
-                        if Snet.Record.tag "y" r <> Some (x + 1) then
-                          failwith "wrong response"
-                    | `Done -> failwith "premature Done"
-                    | `Crashed e -> failwith ("crash: " ^ e)
-                  done;
-                  if Serve.Client.drain_remaining c <> [] then
-                    push_err "session %d: leftover responses" k
-            with
-            | Failure e -> push_err "session %d: %s" k e
-            | e -> push_err "session %d: %s" k (Printexc.to_string e))
-          ())
-  in
-  List.iter Thread.join drivers;
-  let wall_s = Unix.gettimeofday () -. t_start in
-  (* Leave a few sessions open across the SIGTERM: a graceful drain
-     must finish them with [Done], not a dropped socket. Each has
-     collected every response it is owed first (a close mid-flight
-     legitimately drops records — see lib/serve/server.mli). *)
-  let open_conns =
-    List.init drain_clients (fun k ->
-        let conn = dial () in
-        match Serve.Client.connect conn with
-        | Error e ->
-            push_err "drain client %d: connect: %s" k e;
-            None
-        | Ok c -> (
-            match Serve.Client.submit c (ping (7_000_000 + k)) with
-            | `Ok -> (
-                match Serve.Client.recv c with
-                | `Record _ -> Some (conn, c)
-                | _ ->
-                    push_err "drain client %d: no response" k;
-                    None)
-            | _ ->
-                push_err "drain client %d: submit rejected" k;
-                None))
-  in
-  Unix.kill pid Sys.sigterm;
-  let done_clients =
-    List.fold_left
-      (fun acc conn_c ->
-        match conn_c with
-        | None -> acc
-        | Some (conn, c) ->
-            let saw_done =
-              match Serve.Client.recv c with `Done -> true | _ -> false
-            in
-            Dist.Transport.close conn;
-            if saw_done then acc + 1 else acc)
-      0 open_conns
-  in
-  let _, status = Unix.waitpid [] pid in
-  Thread.join pump;
-  close_in_noerr ic;
-  let exit0 = status = Unix.WEXITED 0 in
-  let drained_line =
-    List.exists
-      (fun l -> contains_substring l "snet_serve: drained")
-      !daemon_lines
-  in
-  let lats =
-    Array.to_list lat
-    |> List.concat_map Array.to_list
-    |> List.filter (fun x -> not (Float.is_nan x))
-    |> Array.of_list
-  in
-  Array.sort compare lats;
-  let p50 = percentile lats 50.0
-  and p95 = percentile lats 95.0
-  and p99 = percentile lats 99.0 in
-  let total = Array.length lats in
-  let rps = float_of_int total /. wall_s in
-  Printf.printf
-    "  %d sessions x %d records (ping-pong): %d round trips in %.2fs (%.0f \
-     rec/s)\n\
-    \  round-trip latency: p50 %s  p95 %s  p99 %s (bar: <= %s)\n\
-    \  drain: exit %s, %d/%d open clients saw Done, stats line %s\n"
-    sessions per total wall_s rps (pretty_ns p50) (pretty_ns p95)
-    (pretty_ns p99) (pretty_ns bar_ns)
-    (if exit0 then "0" else "!= 0")
-    done_clients drain_clients
-    (if drained_line then "present" else "missing");
-  let rows =
-    [
-      ("/serve/rtt-p50", p50); ("/serve/rtt-p95", p95); ("/serve/rtt-p99", p99);
-    ]
-  in
-  write_bench_json "BENCH_serve.json"
-    (Obsv.Jsonx.Obj
-       [
-         ("bench", Obsv.Jsonx.Str "serve");
-         ("smoke", Obsv.Jsonx.Bool smoke);
-         ("sessions", jint sessions);
-         ("records_per_session", jint per);
-         ("round_trips", jint total);
-         ("wall_s", jnum wall_s);
-         ("records_per_s", jnum rps);
-         ( "latency_ns",
-           Obsv.Jsonx.Obj
-             [ ("p50", jnum p50); ("p95", jnum p95); ("p99", jnum p99) ] );
-         ("p99_bar_ns", jnum bar_ns);
-         ( "drain",
-           Obsv.Jsonx.Obj
-             [
-               ("exit0", Obsv.Jsonx.Bool exit0);
-               ("clients_done", jint done_clients);
-               ("clients_open", jint drain_clients);
-               ("stats_line", Obsv.Jsonx.Bool drained_line);
-             ] );
-         ( "errors",
-           Obsv.Jsonx.List (List.map (fun e -> Obsv.Jsonx.Str e) !errors) );
-         ("results", jrows rows);
-       ])
-    rows;
-  flush stdout;
-  if !errors <> [] then begin
-    List.iter (Printf.eprintf "serve: %s\n") (List.rev !errors);
-    exit 1
-  end;
-  if total < sessions * per then begin
-    Printf.eprintf "serve: only %d/%d round trips measured\n" total
-      (sessions * per);
-    exit 1
-  end;
-  if (not exit0) || done_clients < drain_clients || not drained_line then begin
-    Printf.eprintf "serve: unclean drain (exit0=%b done=%d/%d stats_line=%b)\n"
-      exit0 done_clients drain_clients drained_line;
-    exit 1
-  end;
-  if (not (Float.is_nan p99)) && p99 > bar_ns then begin
-    Printf.eprintf "serve: round-trip p99 %s exceeds the %s bar\n"
-      (pretty_ns p99) (pretty_ns bar_ns);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* durable: edge-journal overhead and recovery-replay throughput       *)
-
-let exp_durable () =
-  Printf.printf
-    "\n== durable: journal overhead and recovery replay (bar: <= 10%%) ==\n";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
-  let quota = if smoke then 0.05 else 1.0 in
-  let bar = 0.10 in
-  let rows = ref [] in
-  let collect title tests = rows := !rows @ bench_collect title ~quota tests in
-  Sudoku.Netspec.register_codecs ();
-  let puzzle = "medium" in
-  let board = board_of puzzle in
-  (* A stream of boards per run, not one: the solve is
-     schedule-dependent (work stealing), so single-solve runs scatter
-     by tens of percent; summing several inside one timed run averages
-     that out and measures journaling at steady state. *)
-  let boards = if smoke then 4 else 8 in
-  let inputs = List.init boards (fun _ -> Sudoku.Boxes.inject_board board) in
-  let scratch = ref 0 in
-  let rec rm_rf p =
-    match Unix.lstat p with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-        (try Unix.rmdir p with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove p with Sys_error _ -> ())
-  in
-  let fresh_dir () =
-    incr scratch;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "snet_bench_durable_%d_%d" (Unix.getpid ()) !scratch)
-    in
-    rm_rf d;
-    d
-  in
-  (* (a) The overhead bar: the same fig2 solve on the partitioned
-     engine, bare vs wrapped in Replay.run_dist — every cut-edge
-     crossing and every global output journaled (and flushed) on the
-     hot path. Each journaled run writes a fresh directory, so the
-     dedupe budget never absorbs the work being measured.
-
-     A multi-threaded solve drifts more between two separately sampled
-     estimates (GC, scheduling, frequency scaling) than the journal
-     itself costs, so the bar is measured on paired alternating runs
-     and compares medians — drift lands on both sides equally. When
-     the pooled estimate still sits above half the bar, more rounds of
-     samples are taken before the verdict: a borderline reading is far
-     more often noise than a real regression, and the extra seconds
-     beat a flaky CI gate. *)
-  let run_plain () =
-    Dist.Engine_dist.run ~workers:2 ~pool:(Lazy.force conc_pool)
-      (net_of "fig2") inputs
-  in
-  let run_journaled () =
-    let dir = fresh_dir () in
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
-        Durable.Replay.run_dist ~dir (fun ~tap ->
-            Dist.Engine_dist.run ~workers:2 ~pool:(Lazy.force conc_pool) ~tap
-              (net_of "fig2") inputs))
-  in
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    Unix.gettimeofday () -. t0
-  in
-  let reps = if smoke then 15 else 25 in
-  ignore (run_plain ());
-  ignore (run_journaled ());
-  let plain_l = ref [] and journaled_l = ref [] in
-  let sample_round () =
-    for k = 0 to reps - 1 do
-      if k land 1 = 0 then begin
-        plain_l := timed run_plain :: !plain_l;
-        journaled_l := timed run_journaled :: !journaled_l
-      end
-      else begin
-        journaled_l := timed run_journaled :: !journaled_l;
-        plain_l := timed run_plain :: !plain_l
-      end
-    done
-  in
-  let pooled_overhead () =
-    median (Array.of_list !journaled_l) /. median (Array.of_list !plain_l)
-    -. 1.
-  in
-  sample_round ();
-  let rounds = ref 1 in
-  while pooled_overhead () > bar /. 2. && !rounds < 3 do
-    incr rounds;
-    sample_round ()
-  done;
-  let plain_ns = median (Array.of_list !plain_l) *. 1e9 in
-  let journaled_ns = median (Array.of_list !journaled_l) *. 1e9 in
-  rows :=
-    !rows @ [ ("/dist/plain", plain_ns); ("/dist/journaled", journaled_ns) ];
-  Printf.printf
-    "\n-- fig2/%s on 2 dist workers, bare vs journaled (%d paired runs) ----\n"
-    puzzle (!rounds * reps);
-  Printf.printf "  %-45s %9.3f ms/run\n" "/dist/plain" (plain_ns /. 1e6);
-  Printf.printf "  %-45s %9.3f ms/run\n" "/dist/journaled"
-    (journaled_ns /. 1e6);
-  (* (b) Recovery-replay throughput, journal layer: parse + CRC-check
-     + dedupe a journal of ping-sized entries — the cold-start cost
-     recovery pays per journaled record. *)
-  let entries_n = if smoke then 2_000 else 20_000 in
-  let replay_dir = fresh_dir () in
-  let w = Durable.Journal.open_writer replay_dir in
-  for i = 1 to entries_n do
-    ignore
-      (Durable.Journal.append w ~kind:Durable.Journal.Input
-         ~edge:(Printf.sprintf "serve:s0.in#%d" i)
-         (Dist.Wire.render
-            (Snet.Record.with_tag "x" i Snet.Record.empty))
-        : int)
-  done;
-  Durable.Journal.close w;
-  collect
-    (Printf.sprintf "journal read + dedupe, %d entries" entries_n)
-    [
-      Test.make ~name:"journal/read"
-        (Staged.stage (fun () ->
-             let entries, damage = Durable.Journal.read_dir replay_dir in
-             if damage <> None then failwith "bench journal damaged";
-             Durable.Journal.dedupe entries));
-    ];
-  (* (c) Recovery-replay throughput, end to end: a durable serve
-     instance that accepted [recover_n] pings and died without
-     snapshotting; Server.create must re-feed every one. One-shot
-     wall-clock — recovery happens once per restart, not in a loop. *)
-  let recover_n = if smoke then 200 else 1_000 in
-  let recover_dir = fresh_dir () in
-  let dur =
-    {
-      Serve.Server.dir = recover_dir;
-      fsync_every = 0;
-      snapshot_every = 0;
-      spec = "ping";
-    }
-  in
-  let pool = Lazy.force conc_pool in
-  let srv = Serve.Server.create ~pool ~durability:dur (Sudoku.Networks.ping ()) in
-  let s =
-    match Serve.Server.open_session srv with
-    | Ok s -> s
-    | Error _ -> failwith "durable bench: open_session rejected"
-  in
-  (* Poll as we go: the session out-queue holds 8x the credit window,
-     and the engine tap blocks (by design, counted as a stall) once it
-     is full — an embedded submitter that never polls would wedge the
-     drain below, exactly like a TCP client that stops reading. *)
-  let polled = ref 0 in
-  for i = 1 to recover_n do
-    (match
-       Serve.Server.submit ~req:i srv s
-         (Snet.Record.with_tag "x" i Snet.Record.empty)
-     with
-    | `Ok -> ()
-    | `Closed | `Draining -> failwith "durable bench: submit rejected");
-    polled := !polled + List.length (Serve.Server.poll srv s ~max:64)
-  done;
-  while !polled < recover_n do
-    let got = List.length (Serve.Server.poll srv s ~max:64) in
-    polled := !polled + got;
-    if got = 0 then Scheduler.Clock.sleep 0.001
-  done;
-  Serve.Server.drain srv;
-  List.iter Durable.Journal.kill (Durable.Journal.live_writers ());
-  let t0 = Unix.gettimeofday () in
-  let srv2 = Serve.Server.create ~pool ~durability:dur (Sudoku.Networks.ping ()) in
-  let recover_s = Unix.gettimeofday () -. t0 in
-  let replayed =
-    match Serve.Server.recovery srv2 with
-    | Some r -> r.Serve.Server.replayed
-    | None -> 0
-  in
-  Serve.Server.drain srv2;
-  List.iter Durable.Journal.kill (Durable.Journal.live_writers ());
-  rm_rf replay_dir;
-  rm_rf recover_dir;
-  let find name = List.assoc_opt name !rows in
-  let get name = Option.value ~default:nan (find name) in
-  let plain = get "/dist/plain" and journaled = get "/dist/journaled" in
-  let overhead = (journaled /. plain) -. 1. in
-  let read_ns = get "/journal/read" in
-  let read_rate = float_of_int entries_n /. (read_ns /. 1e9) in
-  let recover_rate = float_of_int replayed /. recover_s in
-  Printf.printf
-    "\n  journal overhead on fig2/%s (dist, 2 workers): %+.1f%% (bar: <= \
-     %.0f%%)\n\
-    \  journal read + dedupe: %.0f entries/s\n\
-    \  serve recovery: %d inputs re-fed in %.3fs (%.0f records/s)\n"
-    puzzle (overhead *. 100.) (bar *. 100.) read_rate replayed recover_s
-    recover_rate;
-  let rows = !rows in
-  write_bench_json "BENCH_durable.json"
-    (Obsv.Jsonx.Obj
-       [
-         ("bench", Obsv.Jsonx.Str "durable");
-         ("smoke", Obsv.Jsonx.Bool smoke);
-         ("puzzle", Obsv.Jsonx.Str puzzle);
-         ("dist_plain_ns", jnum plain);
-         ("dist_journaled_ns", jnum journaled);
-         ("journal_overhead", jnum overhead);
-         ("overhead_bar", jnum bar);
-         ("journal_entries", jint entries_n);
-         ("journal_read_entries_per_s", jnum read_rate);
-         ( "recovery",
-           Obsv.Jsonx.Obj
-             [
-               ("inputs", jint recover_n);
-               ("replayed", jint replayed);
-               ("wall_s", jnum recover_s);
-               ("records_per_s", jnum recover_rate);
-             ] );
-         ("results", jrows rows);
-       ])
-    rows;
-  flush stdout;
-  if replayed < recover_n then begin
-    Printf.eprintf "durable: recovery replayed %d/%d journaled inputs\n"
-      replayed recover_n;
-    exit 1
-  end;
-  if (not (Float.is_nan overhead)) && overhead > bar then begin
-    Printf.eprintf "durable: journal overhead %+.1f%% exceeds the %.0f%% bar\n"
-      (overhead *. 100.) (bar *. 100.);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* elastic: live repartitioning of a skewed sharded net                *)
-
-(* The reference elasticity workload: the shard net (route .. (work !!
-   <t>) @shards 2 .. merge) planned by Elastic.Plan, with partition 0
-   — the route segment every record crosses — throttled to simulate a
-   hot worker. Run once with nobody watching (the skewed baseline) and
-   once with the health-driven balancer attached, which must notice
-   the congested partition and migrate it onto a fresh, unthrottled
-   worker. Both runs must stay multiset-identical to the sequential
-   engine; the per-migration downtime bar catches freeze/restore
-   stalls, not scheduling jitter. *)
-
-let exp_elastic () =
-  Printf.printf
-    "\n== elastic: health-driven rebalancing of a skewed shard net ==\n";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
-  let n = if smoke then 400 else 1200 in
-  let throttle_us = 4000 in
-  let downtime_bar_s = 2.0 in
-  let shards = 2 in
-  let net () = Sudoku.Networks.shard ~shards () in
-  let plan =
-    match Elastic.Plan.of_net ~workers:4 (net ()) with
-    | Ok p -> p
-    | Error e ->
-        Printf.eprintf "elastic: planning the shard net failed: %s\n" e;
-        exit 1
-  in
-  Printf.printf "  plan: %s over %d partitions\n" (Dist.Plan.to_string plan)
-    (Dist.Plan.parts plan);
-  let inputs =
-    List.init n (fun i -> Snet.Record.with_tag "x" i Snet.Record.empty)
-  in
-  let expect =
-    List.sort compare
-      (List.map Dist.Wire.render (Snet.Engine_seq.run (net ()) inputs))
-  in
-  let check_outputs label outs =
-    let got = List.sort compare (List.map Dist.Wire.render outs) in
-    if got <> expect then begin
-      Printf.eprintf
-        "elastic: %s run diverged from the sequential engine (%d records, \
-         expected %d)\n"
-        label (List.length got) (List.length expect);
-      exit 1
-    end
-  in
-  (* (a) Skewed baseline: the hot partition stays where it is. *)
-  let t0 = Unix.gettimeofday () in
-  let outs =
-    Dist.Engine_dist.run
-      ~workers:(Dist.Plan.parts plan)
-      ~plan
-      ~fault:Dist.Fault.[ Stall { part = 0; us = throttle_us } ]
-      (net ()) inputs
-  in
-  let skewed_s = Unix.gettimeofday () -. t0 in
-  check_outputs "skewed" outs;
-  (* (b) Same skew with the balancer watching the health rows. The
-     respawned worker is a fresh spawn, so the throttle (first-spawn
-     only) does not follow the partition to its new home. *)
-  let moves = ref [] in
-  let moves_mu = Mutex.create () in
-  let collector = Obsv.Agg.create () in
-  let policy =
-    {
-      Elastic.Balancer.default_policy with
-      tick = 0.05;
-      queue_hi = 4;
-      sustain = 2;
-      cooldown = 0.5;
-      max_migrations = 2;
-    }
-  in
-  let balancer = ref None in
-  let t0 = Unix.gettimeofday () in
-  let outs =
-    Dist.Engine_dist.run
-      ~workers:(Dist.Plan.parts plan)
-      ~plan
-      ~fault:Dist.Fault.[ Stall { part = 0; us = throttle_us } ]
-      ~collector
-      ~on_handle:(fun h ->
-        balancer :=
-          Some
-            (Elastic.Balancer.start ~policy
-               ~on_migrate:(fun ~part r ->
-                 Mutex.lock moves_mu;
-                 moves := (part, r) :: !moves;
-                 Mutex.unlock moves_mu)
-               ~collector ~handle:h ()))
-      (net ()) inputs
-  in
-  let rebalanced_s = Unix.gettimeofday () -. t0 in
-  (match !balancer with Some b -> Elastic.Balancer.stop b | None -> ());
-  check_outputs "rebalanced" outs;
-  let moves = List.rev !moves in
-  let downtimes =
-    List.filter_map (function _, Ok d -> Some d | _, Error _ -> None) moves
-  in
-  List.iter
-    (function
-      | part, Ok d ->
-          Printf.printf "  migrated partition %d: downtime %s\n" part
-            (pretty_ns (d *. 1e9))
-      | part, Error e ->
-          Printf.printf "  migration of partition %d refused: %s\n" part e)
-    moves;
-  let max_downtime = List.fold_left Float.max 0. downtimes in
-  let before_rps = float_of_int n /. skewed_s in
-  let after_rps = float_of_int n /. rebalanced_s in
-  let speedup = skewed_s /. rebalanced_s in
-  let rows =
-    [
-      ("/elastic/skewed", skewed_s *. 1e9);
-      ("/elastic/rebalanced", rebalanced_s *. 1e9);
-    ]
-    @ List.mapi
-        (fun i d -> (Printf.sprintf "/elastic/migration-%d" i, d *. 1e9))
-        downtimes
-  in
-  Printf.printf
-    "\n\
-    \  skewed (no balancer):   %.3fs  (%.0f records/s)\n\
-    \  rebalanced:             %.3fs  (%.0f records/s)  %.2fx\n\
-    \  migrations: %d moved, max downtime %s (bar: <= %s)\n"
-    skewed_s before_rps rebalanced_s after_rps speedup (List.length downtimes)
-    (pretty_ns (max_downtime *. 1e9))
-    (pretty_ns (downtime_bar_s *. 1e9));
-  if speedup < 1.0 then
-    Printf.printf
-      "  WARNING: the rebalanced run was slower than the skewed baseline \
-       (%.2fx): the migration fired too late to pay for itself on this box\n"
-      speedup;
-  write_bench_json "BENCH_elastic.json"
-    (Obsv.Jsonx.Obj
-       [
-         ("bench", Obsv.Jsonx.Str "elastic");
-         ("smoke", Obsv.Jsonx.Bool smoke);
-         ("records", jint n);
-         ("shards", jint shards);
-         ("parts", jint (Dist.Plan.parts plan));
-         ("plan", Obsv.Jsonx.Str (Dist.Plan.encode plan));
-         ("throttle_us", jint throttle_us);
-         ("skewed_s", jnum skewed_s);
-         ("rebalanced_s", jnum rebalanced_s);
-         ( "records_per_s",
-           Obsv.Jsonx.Obj
-             [ ("skewed", jnum before_rps); ("rebalanced", jnum after_rps) ] );
-         ("speedup", jnum speedup);
-         ("migrations", jint (List.length downtimes));
-         ( "migration_downtimes_s",
-           Obsv.Jsonx.List (List.map (fun d -> jnum d) downtimes) );
-         ("max_downtime_s", jnum max_downtime);
-         ("downtime_bar_s", jnum downtime_bar_s);
-         ("results", jrows rows);
-       ])
-    rows;
-  flush stdout;
-  if downtimes = [] then begin
-    Printf.eprintf
-      "elastic: the balancer never moved the hot partition (%d attempts)\n"
-      (List.length moves);
-    exit 1
-  end;
-  if max_downtime > downtime_bar_s then begin
-    Printf.eprintf
-      "elastic: migration downtime %s exceeds the %s bar\n"
-      (pretty_ns (max_downtime *. 1e9))
-      (pretty_ns (downtime_bar_s *. 1e9));
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
+   Run some:       dune exec bench/main.exe -- fig3-sweep dist
+   CI size:        BENCH_SMOKE=1 (see bench/dune's aliases) *)
 
 let experiments =
   [
-    ("baseline", exp_baseline);
-    ("fig1", exp_fig ~figure:"fig1");
-    ("fig2", exp_fig ~figure:"fig2");
-    ("fig3", exp_fig ~figure:"fig3");
-    ("fig3-sweep", exp_fig3_sweep);
-    ("dataparallel", exp_dataparallel);
-    ("scheduler", exp_scheduler);
-    ("scaling", exp_scaling);
-    ("combinators", exp_combinators);
-    ("interpreted", exp_interpreted);
-    ("engines", exp_engines);
-    ("ablation", exp_ablation);
-    ("propagation", exp_propagation);
-    ("faults", exp_faults);
-    ("obsv", exp_obsv);
-    ("dist", exp_dist);
-    ("serve", exp_serve);
-    ("durable", exp_durable);
-    ("elastic", exp_elastic);
+    ("baseline", "pure-SaC sequential solver (Section 3)", Exp_baseline.run);
+    ("fig1", "network of Section 5, Fig. 1", Exp_fig.run ~figure:"fig1");
+    ("fig2", "network of Section 5, Fig. 2", Exp_fig.run ~figure:"fig2");
+    ("fig3", "network of Section 5, Fig. 3", Exp_fig.run ~figure:"fig3");
+    ( "fig3-sweep",
+      "throttle width and star cutoff (Section 5)",
+      Exp_fig3_sweep.run );
+    ( "dataparallel",
+      "with-loop kernels (Section 3's 'for free' claim)",
+      Exp_dataparallel.run );
+    ("scheduler", "work-stealing pool", Exp_scheduler.run);
+    ( "scaling",
+      "hybrid networks across domain counts (Section 5)",
+      Exp_scaling.run );
+    ("combinators", "per-record overhead (Section 4)", Exp_combinators.run);
+    ( "interpreted",
+      "mini-SaC boxes vs native OCaml boxes",
+      Exp_interpreted.run );
+    ("engines", "the same network on both engines", Exp_engines.run);
+    ("ablation", "actor batch size and determinism overhead", Exp_ablation.run);
+    ("propagation", "constraint deduction vs pure search", Exp_propagation.run);
+    ("faults", "supervision overhead and error-record paths", Exp_faults.run);
+    ("obsv", "tracing/metrics/shipping overhead", Exp_obsv.run);
+    ("dist", "wire format and cut-edge transport overhead", Exp_dist.run);
+    ("serve", "snet_serve daemon under concurrent sessions", Exp_serve.run);
+    ("durable", "journal overhead and recovery replay", Exp_durable.run);
+    ( "elastic",
+      "health-driven rebalancing of a skewed shard net",
+      Exp_elastic.run );
   ]
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
-    | _ -> List.map fst experiments
+    | _ -> List.map (fun (name, _, _) -> name) experiments
   in
   Printf.printf
     "S-Net/SaC benchmark harness (%d domain(s) recommended on this host)\n"
     (Domain.recommended_domain_count ());
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
+      match List.find_opt (fun (n, _, _) -> n = name) experiments with
+      | Some (_, title, run) ->
+          Printf.printf "\n== %s: %s ==\n%!" name title;
+          run ()
       | None ->
           Printf.eprintf "unknown experiment %s (known: %s)\n" name
-            (String.concat ", " (List.map fst experiments));
+            (String.concat ", " (List.map (fun (n, _, _) -> n) experiments));
           exit 1)
     requested;
-  if Lazy.is_val conc_pool then Scheduler.Pool.shutdown (Lazy.force conc_pool)
+  if Lazy.is_val Bench_core.conc_pool then
+    Scheduler.Pool.shutdown (Lazy.force Bench_core.conc_pool);
+  if Bench_core.failed () then exit 1

@@ -464,8 +464,8 @@ let part_of_wstate now part w =
   Health.make ~part ~alive:w.alive ~reason:w.reason ~place:w.place
     ~migrations:w.migrations ~queue_depth:w.g_queue ~window:w.g_window
     ~credits_free:w.g_credits ~sends ~recvs ~stalls ?stall_rate
-    ~batch_p50:(if bsizes = [||] then 0 else Metrics.batch_percentile 0.50 bsizes)
-    ~batch_p95:(if bsizes = [||] then 0 else Metrics.batch_percentile 0.95 bsizes)
+    ~batch_p50:(Metrics.batch_percentile 0.50 bsizes)
+    ~batch_p95:(Metrics.batch_percentile 0.95 bsizes)
     ~journal_lag:jlag
     ~age:
       (if Float.is_nan w.last_report_at then -1. else now -. w.last_report_at)

@@ -35,24 +35,32 @@ let bucket_upper_ns i =
     let lo = base_ns lsl o in
     lo + ((s + 1) * (lo / sub))
 
+(* The one rank rule, shared by the histogram percentiles below and
+   the exact [quantile]: the [q]-quantile of [n] ordered observations
+   is the [max 1 (ceil (q n))]-th smallest, clamped to [n]. *)
+let rank q n = min n (max 1 (int_of_float (ceil (q *. float_of_int n))))
+
+(* The first slot of a counting histogram whose cumulative count
+   reaches the [q] rank; [None] for an empty histogram. *)
+let rank_slot q counts =
+  let n = Array.fold_left ( + ) 0 counts in
+  if n = 0 then None
+  else
+    let r = rank q n in
+    let rec go i cum =
+      let cum = cum + counts.(i) in
+      if cum >= r then i else go (i + 1) cum
+    in
+    Some (go 0 0)
+
 let percentile q buckets ~max_s =
-  let count = Array.fold_left ( + ) 0 buckets in
-  if count = 0 then 0.
-  else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int count))) in
-    let cum = ref 0 and result = ref max_s in
-    (try
-       Array.iteri
-         (fun i c ->
-           cum := !cum + c;
-           if !cum >= rank then begin
-             result := float_of_int (bucket_upper_ns i) *. 1e-9;
-             raise Exit
-           end)
-         buckets
-     with Exit -> ());
-    Float.min !result max_s
-  end
+  match rank_slot q buckets with
+  | None -> 0.
+  | Some i -> Float.min (float_of_int (bucket_upper_ns i) *. 1e-9) max_s
+
+let quantile q sorted =
+  let n = Array.length sorted in
+  if n = 0 then Float.nan else sorted.(rank q n - 1)
 
 type hist = {
   count : int;
@@ -304,23 +312,7 @@ type edge = {
 }
 
 let batch_percentile q bsizes =
-  let count = Array.fold_left ( + ) 0 bsizes in
-  if count = 0 then 0
-  else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int count))) in
-    let cum = ref 0 and result = ref batch_max in
-    (try
-       Array.iteri
-         (fun s c ->
-           cum := !cum + c;
-           if c > 0 && !cum >= rank then begin
-             result := s;
-             raise Exit
-           end)
-         bsizes
-     with Exit -> ());
-    !result
-  end
+  match rank_slot q bsizes with None -> 0 | Some s -> s
 
 type snapshot = {
   spans : (string * string * hist) list;

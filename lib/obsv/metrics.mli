@@ -134,11 +134,22 @@ val empty_raw : raw
 
 val percentile : float -> int array -> max_s:float -> float
 (** [percentile q buckets ~max_s] — exposed for the exporter and
-    bench; [q] in [0,1], buckets as stored (log-linear). *)
+    bench; [q] in [0,1], buckets as stored (log-linear). The rank is
+    {!quantile}'s, so the result is the upper bound of the bucket
+    holding the exact [q]-quantile: never below it, at most 12.5%
+    above it (for observations of 64 ns and more), clamped to
+    [max_s]. *)
 
 val batch_percentile : float -> int array -> int
 (** Percentile over an exact batch-size histogram (as in
-    {!raw_edge.r_bsizes}); used by the cluster aggregator. *)
+    {!raw_edge.r_bsizes}), same rank rule; 0 when it is empty. Used
+    by the cluster aggregator. *)
+
+val quantile : float -> float array -> float
+(** [quantile q sorted] is the exact [q]-quantile of samples sorted
+    in increasing order: the [max 1 (ceil (q n))]-th smallest of the
+    [n] samples, the rank {!percentile} uses; [nan] when [sorted] is
+    empty. *)
 
 val hist_of_buckets : int array -> total:float -> max_s:float -> hist
 (** Build a {!hist} from raw bucket counts (used by bench to report

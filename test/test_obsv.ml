@@ -295,6 +295,39 @@ let test_metrics_histogram () =
             (Float.abs (h.Metrics.max_s -. 100e-5) < 1e-9)
       | l -> Alcotest.failf "unexpected span list (%d entries)" (List.length l))
 
+(* Percentiles and the exact quantile share one rank rule, so each
+   histogram percentile is the upper bound of the bucket holding the
+   exact sample at that rank: never below it, and at most one bucket
+   width (1/8 of its octave) above. Samples are whole nanoseconds in
+   the log-linear range (>= 64 ns); recording truncates to whole
+   nanoseconds, which the 1 ns of slack covers. *)
+let prop_percentile_vs_quantile =
+  QCheck.Test.make
+    ~name:"histogram percentile is within 12.5% above the exact quantile"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 300) (int_range 64 100_000_000)))
+    (fun ns ->
+      with_metrics (fun () ->
+          List.iter
+            (fun n ->
+              Metrics.record_span ~cat:"q" ~name:"q"
+                ~dt:(float_of_int n *. 1e-9))
+            ns;
+          let sorted =
+            Array.of_list (List.map (fun n -> float_of_int n *. 1e-9) ns)
+          in
+          Array.sort Float.compare sorted;
+          match (Metrics.snapshot ()).Metrics.spans with
+          | [ (_, _, h) ] ->
+              List.for_all
+                (fun (q, p) ->
+                  let x = Metrics.quantile q sorted in
+                  p >= x -. 1e-9 && p <= (x *. 1.125) +. 1e-9)
+                [ (0.50, h.Metrics.p50); (0.95, h.Metrics.p95);
+                  (0.99, h.Metrics.p99) ]
+          | _ -> false))
+
 let test_metrics_edges_and_json () =
   with_metrics (fun () ->
       Metrics.record_edge_send ~name:"/e" ~depth:3;
@@ -675,6 +708,7 @@ let suite =
       test_virtual_time_byte_stable;
     Alcotest.test_case "latency histogram percentiles" `Quick
       test_metrics_histogram;
+    Seeded.to_alcotest prop_percentile_vs_quantile;
     Alcotest.test_case "edge counters, star depth, json round-trip" `Quick
       test_metrics_edges_and_json;
     Alcotest.test_case "metrics aggregate without the event sink" `Quick
